@@ -90,8 +90,10 @@ impl Profile {
 /// Bump when a model-affecting code change invalidates cached results.
 /// (v2: results gained cycle accounting and interval time series; v3:
 /// entries moved into the integrity envelope, which also carries this
-/// version — stale entries now quarantine instead of silently orphaning.)
-pub const MODEL_VERSION: u32 = 3;
+/// version — stale entries now quarantine instead of silently orphaning;
+/// v4: every `SimStats` count became a registry counter, so
+/// `RunResult::telemetry` and the interval records carry more paths.)
+pub const MODEL_VERSION: u32 = 4;
 
 fn cache_dir() -> PathBuf {
     std::env::var("UCP_RESULT_DIR")

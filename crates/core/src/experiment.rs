@@ -347,22 +347,6 @@ pub fn run_suite_outcome(
     })
 }
 
-/// Runs `cfg` over every workload in `suite` with default isolation
-/// options, returning the results only if every workload completed.
-///
-/// # Errors
-///
-/// [`SimError::BadConfig`] for malformed environment knobs, or the first
-/// per-workload failure that survived retries.
-pub fn run_suite(
-    suite: &[WorkloadSpec],
-    cfg: &SimConfig,
-    warmup: u64,
-    measure: u64,
-) -> Result<Vec<RunResult>, SimError> {
-    run_suite_outcome(suite, cfg, warmup, measure, &SuiteOptions::default(), None)?.into_results()
-}
-
 /// The first interval at which a replayed run's state digest stopped
 /// matching the recorded run's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -507,7 +491,9 @@ mod tests {
     use ucp_workloads::WorkloadSpec;
 
     fn suite_ok(suite: &[WorkloadSpec], cfg: &SimConfig, w: u64, m: u64) -> Vec<RunResult> {
-        run_suite(suite, cfg, w, m).expect("suite run failed")
+        run_suite_outcome(suite, cfg, w, m, &SuiteOptions::default(), None)
+            .and_then(SuiteOutcome::into_results)
+            .expect("suite run failed")
     }
 
     #[test]

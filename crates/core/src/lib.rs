@@ -35,9 +35,8 @@ pub use config::{
 };
 pub use error::{watchdog_from_env, DiagSnapshot, SimError, DEFAULT_WATCHDOG_CYCLES};
 pub use experiment::{
-    align_by_workload, replay_verify, run_lengths, run_suite, run_suite_outcome, speedups_pct,
-    PersistFn, ReplayDivergence, ReplayReport, RunResult, SuiteOptions, SuiteOutcome,
-    WorkloadOutcome,
+    align_by_workload, replay_verify, run_lengths, run_suite_outcome, speedups_pct, PersistFn,
+    ReplayDivergence, ReplayReport, RunResult, SuiteOptions, SuiteOutcome, WorkloadOutcome,
 };
 pub use pipeline::{RunOutput, Simulator};
 pub use snapshot::{

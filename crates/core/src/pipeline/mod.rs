@@ -30,7 +30,7 @@ use crate::snapshot::{
     ckpt_from_env, ckpt_root, digest_from_env, latest_valid_checkpoint, remove_run_checkpoints,
     run_slug, write_checkpoint, CheckpointMeta, CheckpointPolicy, DigestRecord, CKPT_VERSION,
 };
-use crate::stats::{SimStats, UcpStats};
+use crate::stats::{paths, CondCounters, SimStats};
 use crate::ucp::UcpEngine;
 use backend::Backend;
 use sim_isa::{fnv1a64, Addr, BranchClass, DynInst, InstKind, StateReader, StateWriter};
@@ -42,7 +42,7 @@ use ucp_bpred::{
     IttagePrediction, SclPrediction, TageConf, TageScL, UcpConf,
 };
 use ucp_frontend::{BoundedQueue, Btb, EntryEnd, Ras, RasCheckpoint, UopCache, UopEntrySpec};
-use ucp_mem::{CacheStats, Hierarchy, HitLevel};
+use ucp_mem::{Hierarchy, HitLevel};
 use ucp_prefetch::{DJolt, Entangling, FnlMma, InstPrefetcher, Mrc, NoPrefetch};
 use ucp_telemetry::interval::{IntervalRecord, IntervalSampler, INSTRET_PATH};
 use ucp_telemetry::{
@@ -175,15 +175,14 @@ struct UopQEntry {
     rec: Option<u64>,
 }
 
-/// Baselines captured when the measurement window opens. They live on
-/// the simulator (not on `run_full`'s stack) so that a checkpoint taken
-/// mid-window carries them, and a restored run closes the window against
-/// the *original* baselines — bit-identical to an uninterrupted run.
+/// The open measurement window: where it started and the registry
+/// snapshot it is carved from. It lives on the simulator (not on
+/// `run_full`'s stack) so that a checkpoint taken mid-window carries it,
+/// and a restored run closes the window against the *original* baseline —
+/// bit-identical to an uninterrupted run.
 struct MeasureState {
     start_cycle: u64,
     start_committed: u64,
-    l1i0: CacheStats,
-    ucp0: Option<UcpStats>,
     reg0: RegistrySnapshot,
 }
 
@@ -204,14 +203,21 @@ struct CkptSink {
     fault: Option<Arc<FaultPlan>>,
 }
 
-/// The simulator's own telemetry handles (`pipeline.*`, plus the
+/// The simulator's own counters (`pipeline.*`, plus the
 /// `frontend.*`/`prefetch.*` counters whose increment sites live in the
-/// pipeline rather than in the component crates).
+/// pipeline rather than in the component crates). They are the
+/// pipeline's only statistics: [`SimStats`] is read back from them.
 struct SimTelemetry {
     handle: Telemetry,
     flushes: Counter,
     resteers: Counter,
+    indirect_mispredicts: Counter,
+    cond: CondCounters,
     mode_switches: Counter,
+    uop_hits: Counter,
+    uops_from_uop_cache: Counter,
+    uops_from_decode: Counter,
+    mrc_streamed_uops: Counter,
     l1i_prefetches: Counter,
     committed: Counter,
     ftq_occupancy: Histogram,
@@ -220,14 +226,21 @@ struct SimTelemetry {
 
 impl SimTelemetry {
     fn bound_to(handle: Telemetry) -> Self {
+        let reg = &handle.registry;
         SimTelemetry {
-            flushes: handle.registry.counter("pipeline.flushes"),
-            resteers: handle.registry.counter("pipeline.btb_resteers"),
-            mode_switches: handle.registry.counter("frontend.uopc.mode_switches"),
-            l1i_prefetches: handle.registry.counter("prefetch.l1i_issued"),
-            committed: handle.registry.counter(INSTRET_PATH),
-            ftq_occupancy: handle.registry.histogram("frontend.ftq.occupancy"),
-            accounting: CycleAccounting::bound_to(&handle.registry),
+            flushes: reg.counter("pipeline.flushes"),
+            resteers: reg.counter(paths::BTB_RESTEERS),
+            indirect_mispredicts: reg.counter(paths::INDIRECT_MISPREDICTS),
+            cond: CondCounters::bound_to(reg),
+            mode_switches: reg.counter(paths::MODE_SWITCHES),
+            uop_hits: reg.counter(paths::UOP_HITS),
+            uops_from_uop_cache: reg.counter(paths::UOPS_FROM_UOP_CACHE),
+            uops_from_decode: reg.counter(paths::UOPS_FROM_DECODE),
+            mrc_streamed_uops: reg.counter(paths::MRC_STREAMED_UOPS),
+            l1i_prefetches: reg.counter(paths::L1I_PREFETCHES_ISSUED),
+            committed: reg.counter(INSTRET_PATH),
+            ftq_occupancy: reg.histogram("frontend.ftq.occupancy"),
+            accounting: CycleAccounting::bound_to(reg),
             handle,
         }
     }
@@ -306,9 +319,7 @@ pub struct Simulator<'p> {
     committed: u64,
     last_commit_cycle: u64,
     last_retired_pc: Option<Addr>,
-    measuring: bool,
     measure_state: Option<MeasureState>,
-    stats: SimStats,
     tele: SimTelemetry,
     sampler: Option<IntervalSampler>,
 
@@ -325,7 +336,6 @@ pub struct Simulator<'p> {
     watchdog: Option<u64>,
     hang_injected: bool,
     skew_invariant: bool,
-    skew_applied: bool,
 
     // Per-cycle attribution scratch, reset at the top of `cycle()`.
     delivered_uop: bool,
@@ -425,9 +435,7 @@ impl<'p> Simulator<'p> {
             committed: 0,
             last_commit_cycle: 0,
             last_retired_pc: None,
-            measuring: false,
             measure_state: None,
-            stats: SimStats::default(),
             tele: SimTelemetry::bound_to(telemetry),
             // Constructors cannot return Result without breaking every
             // embedding; malformed env knobs are hard errors here. Suite
@@ -442,7 +450,6 @@ impl<'p> Simulator<'p> {
             watchdog: watchdog_from_env().unwrap_or_else(|e| panic!("{e}")),
             hang_injected: false,
             skew_invariant: false,
-            skew_applied: false,
             delivered_uop: false,
             delivered_decode: false,
             deliver_blocked: None,
@@ -466,14 +473,15 @@ impl<'p> Simulator<'p> {
         self.watchdog = cycles;
     }
 
-    /// Fault-injection hook (`UCP_FAULT=hang:...`): stops all retirement,
-    /// so the hang watchdog must terminate the run with
-    /// [`SimError::Hang`].
+    /// Fault-injection hook (`UCP_FAULT=hang:...`): the run loop stops
+    /// simulating, so nothing retires and the hang watchdog must
+    /// terminate the run with [`SimError::Hang`].
     pub fn inject_hang(&mut self) {
         self.hang_injected = true;
     }
 
-    /// Fault-injection hook (`UCP_FAULT=invariant:...`): skews the
+    /// Fault-injection hook (`UCP_FAULT=invariant:...`): counts one extra
+    /// mode switch when the measurement window opens, and skews the
     /// end-of-run cycle-accounting total by one cycle, forcing
     /// [`SimError::InvariantViolation`].
     pub fn inject_invariant_skew(&mut self) {
@@ -520,113 +528,49 @@ impl<'p> Simulator<'p> {
 
     /// Convenience: build the workload's program and run it, panicking on
     /// any [`SimError`] (tests and tools that prefer a crash to a
-    /// degraded result).
+    /// degraded result). Honours `UCP_CKPT` like the suite runner: the
+    /// run resumes from, and writes, mid-run checkpoints.
     pub fn run_spec(spec: &WorkloadSpec, cfg: &SimConfig, warmup: u64, measure: u64) -> SimStats {
-        Simulator::run_spec_full(spec, cfg, warmup, measure).0
-    }
-
-    /// Like [`Simulator::run_spec`], but also returns the telemetry
-    /// registry's measurement-window delta (what suite runners persist).
-    /// Panics on any [`SimError`].
-    pub fn run_spec_full(
-        spec: &WorkloadSpec,
-        cfg: &SimConfig,
-        warmup: u64,
-        measure: u64,
-    ) -> (SimStats, RegistrySnapshot) {
-        let out = Simulator::run_spec_output(spec, cfg, warmup, measure)
-            .unwrap_or_else(|e| panic!("{e}"));
-        (out.stats, out.telemetry)
-    }
-
-    /// Like [`Simulator::run_spec_full`], but returns the full
-    /// [`RunOutput`] including the interval time series, and reports
-    /// failures as [`SimError`] instead of panicking. This is the entry
-    /// point the fault-isolated suite runner uses.
-    pub fn run_spec_output(
-        spec: &WorkloadSpec,
-        cfg: &SimConfig,
-        warmup: u64,
-        measure: u64,
-    ) -> Result<RunOutput, SimError> {
         let prog = spec.build();
         let mut sim = Simulator::new(&prog, spec.seed, cfg);
-        sim.init_checkpointing(spec, warmup, measure, None)?;
-        let out = sim.run_full(warmup, measure)?;
-        sim.finish_checkpointing();
-        Ok(out)
-    }
-
-    /// Runs `warmup` instructions with statistics off, then `measure`
-    /// instructions with statistics on, and returns the collected stats.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SimError`] — hang-watchdog expiry, accounting
-    /// invariant violation. Fallible callers use
-    /// [`Simulator::run_full`].
-    pub fn run(&mut self, warmup: u64, measure: u64) -> SimStats {
-        self.run_instrumented(warmup, measure).0
-    }
-
-    /// [`Simulator::run`] plus the telemetry registry's delta over the
-    /// measurement window. Registry counters tick through warm-up too (they
-    /// are not gated on `measuring`); the window is carved out by
-    /// snapshotting at the measurement boundary and diffing at the end —
-    /// the same pattern as the L1I and UCP statistics below. Panics on
-    /// any [`SimError`].
-    pub fn run_instrumented(&mut self, warmup: u64, measure: u64) -> (SimStats, RegistrySnapshot) {
-        let out = self
-            .run_full(warmup, measure)
+        let out = sim
+            .init_checkpointing(spec, warmup, measure, None)
+            .and_then(|_| sim.run_full(warmup, measure))
             .unwrap_or_else(|e| panic!("{e}"));
-        (out.stats, out.telemetry)
+        sim.finish_checkpointing();
+        out.stats
     }
 
-    /// [`Simulator::run_instrumented`] plus the interval time series, and
-    /// the point where failures become structured: the hang watchdog is
-    /// checked every cycle, and the end-of-run cycle-accounting invariant
-    /// (per-category cycles tile the measured total) is reported as
+    /// Runs `warmup` instructions, then `measure` instructions in the
+    /// measurement window, and returns the window's statistics, registry
+    /// delta and interval time series. This is the one run entry point;
+    /// failures are structured: the hang watchdog is checked every cycle,
+    /// and the end-of-run cycle-accounting invariant (per-category cycles
+    /// tile the measured total) is reported as
     /// [`SimError::InvariantViolation`] instead of aborting the process —
     /// one bad workload must not kill a 30-workload suite. Under
     /// `cfg(test)` the invariant stays a hard assert so unit tests fail
     /// loudly at the exact site.
     pub fn run_full(&mut self, warmup: u64, measure: u64) -> Result<RunOutput, SimError> {
         // A simulator restored from a mid-measurement checkpoint re-enters
-        // here with `measuring` already true — both loop guards and the
-        // restored `measure_state` make the resumed run retrace exactly
-        // the cycles the interrupted one would have executed.
-        while self.committed < warmup && !self.measuring {
-            self.hang_check()?;
-            self.cycle();
-            self.maybe_digest();
-            self.maybe_checkpoint()?;
-        }
-        if !self.measuring {
-            self.begin_measurement();
-        }
-        let end = self
-            .measure_state
-            .as_ref()
-            .expect("measurement window open")
-            .start_committed
-            + measure;
-        while self.committed < end {
-            self.hang_check()?;
-            self.cycle();
-            self.maybe_digest();
+        // here with its window already open — the restored
+        // `measure_state` makes the resumed run retrace exactly the cycles
+        // the interrupted one would have executed.
+        loop {
+            if self.measure_state.is_none() && self.committed >= warmup {
+                self.begin_measurement();
+            }
+            if let Some(ms) = &self.measure_state {
+                if self.committed >= ms.start_committed + measure {
+                    break;
+                }
+            }
+            self.step()?;
             self.maybe_checkpoint()?;
         }
         let ms = self.measure_state.take().expect("measurement window open");
-        self.measuring = false;
-        self.stats.cycles = self.now - ms.start_cycle;
-        self.stats.instructions = self.committed - ms.start_committed;
-        let l1i = *self.hier.l1i_stats();
-        self.stats.l1i_accesses = (l1i.hits + l1i.misses) - (ms.l1i0.hits + ms.l1i0.misses);
-        self.stats.l1i_misses = l1i.misses - ms.l1i0.misses;
-        if let (Some(u), Some(u0)) = (self.ucp.as_ref(), ms.ucp0.as_ref()) {
-            self.stats.ucp = u.stats.delta_since(u0);
-        }
         let telemetry = self.tele.handle.registry.snapshot().delta_since(&ms.reg0);
+        let stats = SimStats::from_window(&telemetry, self.now - ms.start_cycle);
         let intervals = match self.sampler.take() {
             Some(mut s) => {
                 s.finish(self.now, &self.tele.handle.registry);
@@ -634,7 +578,6 @@ impl<'p> Simulator<'p> {
             }
             None => Vec::new(),
         };
-        let stats = std::mem::take(&mut self.stats);
         // The charger runs exactly once per cycle, so over the window the
         // categories must tile the measured cycles exactly. A violation
         // here is always an attribution bug, never a workload property.
@@ -673,20 +616,39 @@ impl<'p> Simulator<'p> {
         })
     }
 
-    /// Opens the measurement window: statistics on, baselines snapshotted
-    /// (warm-up may overshoot by up to one commit width; measurement runs
-    /// from the actual boundary).
+    /// One run-loop step: the hang watchdog, one machine cycle, and the
+    /// determinism auditor's cadence.
+    fn step(&mut self) -> Result<(), SimError> {
+        self.hang_check()?;
+        if self.hang_injected {
+            // Fault injection: the machine is wedged. Time passes and
+            // nothing retires until the watchdog notices.
+            self.now += 1;
+        } else {
+            self.cycle();
+        }
+        self.maybe_digest();
+        Ok(())
+    }
+
+    /// Opens the measurement window by snapshotting the registry (warm-up
+    /// may overshoot by up to one commit width; measurement runs from the
+    /// actual boundary).
     fn begin_measurement(&mut self) {
-        self.measuring = true;
         let reg0 = self.tele.handle.registry.snapshot();
         if let Some(s) = self.sampler.as_mut() {
             s.begin(self.now, &self.tele.handle.registry);
         }
+        if self.skew_invariant {
+            // Fault injection: perturb one statistic inside the window, so
+            // the determinism auditor's digest stream visibly diverges
+            // from a clean run here (the end-of-run accounting skew alone
+            // never touches the serialized state).
+            self.tele.mode_switches.inc();
+        }
         self.measure_state = Some(MeasureState {
             start_cycle: self.now,
             start_committed: self.committed,
-            l1i0: *self.hier.l1i_stats(),
-            ucp0: self.ucp.as_ref().map(|u| u.stats.clone()),
             reg0,
         });
     }
@@ -708,15 +670,6 @@ impl<'p> Simulator<'p> {
         self.delivered_uop = false;
         self.delivered_decode = false;
         self.deliver_blocked = None;
-        if self.skew_invariant && self.measuring && !self.skew_applied {
-            // Fault injection: perturb one statistic at the start of the
-            // measurement window, so the determinism auditor's digest
-            // stream visibly diverges from a clean run at this interval
-            // (the end-of-run accounting skew alone never touches the
-            // serialized state).
-            self.stats.mode_switches += 1;
-            self.skew_applied = true;
-        }
         self.process_resolutions();
         self.commit_stage();
         self.dispatch_stage();
@@ -801,23 +754,13 @@ impl<'p> Simulator<'p> {
             RecKind::Cond => {
                 if let Some(scl) = &rec.scl {
                     self.bp.update(rec.pc, scl, rec.actual_taken);
-                    if self.measuring {
-                        self.stats.cond_branches += 1;
-                        self.stats.cond_mispredicts += u64::from(rec.mispredicted);
-                        self.stats.record_provider(
-                            scl.provider,
-                            scl.confidence_value(),
-                            rec.mispredicted,
-                        );
-                        self.stats.h2p_tage.marked += u64::from(rec.h2p_tage);
-                        self.stats.h2p_ucp.marked += u64::from(rec.h2p_ucp);
-                        if rec.mispredicted {
-                            self.stats.h2p_tage.mispredicted += 1;
-                            self.stats.h2p_ucp.mispredicted += 1;
-                            self.stats.h2p_tage.marked_mispredicted += u64::from(rec.h2p_tage);
-                            self.stats.h2p_ucp.marked_mispredicted += u64::from(rec.h2p_ucp);
-                        }
-                    }
+                    self.tele.cond.record(
+                        scl.provider,
+                        scl.confidence_value(),
+                        rec.mispredicted,
+                        rec.h2p_tage,
+                        rec.h2p_ucp,
+                    );
                 }
                 if let (Some(ucp), Some(alt)) = (self.ucp.as_mut(), rec.alt_scl.as_ref()) {
                     ucp.train_cond(rec.pc, alt, rec.actual_taken);
@@ -845,13 +788,13 @@ impl<'p> Simulator<'p> {
                         BranchClass::IndirectJump
                     },
                 );
-                if self.measuring && rec.mispredicted && !rec.no_target {
-                    self.stats.indirect_mispredicts += 1;
+                if rec.mispredicted && !rec.no_target {
+                    self.tele.indirect_mispredicts.inc();
                 }
             }
             RecKind::Return => {
-                if self.measuring && rec.mispredicted {
-                    self.stats.indirect_mispredicts += 1;
+                if rec.mispredicted {
+                    self.tele.indirect_mispredicts.inc();
                 }
             }
         }
@@ -927,9 +870,7 @@ impl<'p> Simulator<'p> {
             if let Some(mrc) = self.mrc.as_mut() {
                 if let Some(uops) = mrc.lookup(rec.actual_next) {
                     self.mrc_stream_left = uops;
-                    if self.measuring {
-                        self.stats.mrc_streamed_uops += u64::from(uops);
-                    }
+                    self.tele.mrc_streamed_uops.add(u64::from(uops));
                 }
                 mrc.allocate(rec.actual_next);
                 self.mrc_filling = true;
@@ -942,11 +883,6 @@ impl<'p> Simulator<'p> {
     // ------------------------------------------------------------------
 
     fn commit_stage(&mut self) {
-        if self.hang_injected {
-            // Fault injection: retirement is wedged; the watchdog must
-            // notice and raise `SimError::Hang`.
-            return;
-        }
         let retired = self.backend.commit(self.now);
         for e in &retired {
             debug_assert_eq!(e.pos, self.stream_base, "in-order commit");
@@ -1070,14 +1006,9 @@ impl<'p> Simulator<'p> {
         }
         if let Some(uc) = self.uop_cache.as_mut() {
             self.demand_uop_banks[uc.bank_of(blk.start)] = true;
-            if self.measuring {
-                self.stats.uop_lookups += 1;
-            }
             if let Some(hit) = uc.lookup(blk.start) {
                 if hit.num_uops >= blk.n {
-                    if self.measuring {
-                        self.stats.uop_hits += 1;
-                    }
+                    self.tele.uop_hits.inc();
                     let trig = if hit.first_prefetch_use {
                         hit.trigger
                     } else {
@@ -1114,15 +1045,10 @@ impl<'p> Simulator<'p> {
         }
         if from_cache {
             self.delivered_uop = true;
+            self.tele.uops_from_uop_cache.add(u64::from(blk.n));
         } else {
             self.delivered_decode = true;
-        }
-        if self.measuring {
-            if from_cache {
-                self.stats.uops_from_uop_cache += u64::from(blk.n);
-            } else {
-                self.stats.uops_from_decode += u64::from(blk.n);
-            }
+            self.tele.uops_from_decode.add(u64::from(blk.n));
         }
         true
     }
@@ -1131,9 +1057,6 @@ impl<'p> Simulator<'p> {
         self.mode = to;
         self.consec_uop_hits = 0;
         self.fetch_stall_until = self.now + 1 + self.cfg.frontend.mode_switch_penalty;
-        if self.measuring {
-            self.stats.mode_switches += 1;
-        }
         self.tele.mode_switches.inc();
         self.tele
             .handle
@@ -1272,9 +1195,7 @@ impl<'p> Simulator<'p> {
                             .expect("room checked");
                     }
                     self.delivered_decode = true;
-                    if self.measuring {
-                        self.stats.uops_from_decode += u64::from(take);
-                    }
+                    self.tele.uops_from_decode.add(u64::from(take));
                     decode_uops -= u32::from(take);
                     self.head_delivered += take;
                     if self.head_delivered == blk.n {
@@ -1622,9 +1543,6 @@ impl<'p> Simulator<'p> {
             if mispredicted && self.pending_mispredict.is_none() {
                 self.pending_mispredict = Some(id);
                 if no_target {
-                    if self.measuring {
-                        self.stats.btb_resteers += 1;
-                    }
                     self.tele.resteers.inc();
                 }
             }
@@ -1678,9 +1596,6 @@ impl<'p> Simulator<'p> {
         self.agen_stall_until =
             (self.now + self.cfg.frontend.btb_resteer_penalty).max(self.agen_stall_until);
         self.agen_stall_kind = CycleCause::Resteer;
-        if self.measuring {
-            self.stats.btb_resteers += 1;
-        }
         self.tele.resteers.inc();
         self.tele
             .handle
@@ -1703,9 +1618,6 @@ impl<'p> Simulator<'p> {
                 self.prefetch_pq.pop();
             } else if self.hier.access_inst(line, self.now, true).is_ok() {
                 self.prefetch_pq.pop();
-                if self.measuring {
-                    self.stats.l1i_prefetches_issued += 1;
-                }
                 self.tele.l1i_prefetches.inc();
                 self.tele
                     .handle
@@ -1908,12 +1820,10 @@ impl<'p> Simulator<'p> {
     /// [`SimError::Hang`] when the watchdog expires.
     pub fn run_to_committed(&mut self, target: u64, warmup: u64) -> Result<(), SimError> {
         while self.committed < target {
-            if self.committed >= warmup && !self.measuring {
+            if self.measure_state.is_none() && self.committed >= warmup {
                 self.begin_measurement();
             }
-            self.hang_check()?;
-            self.cycle();
-            self.maybe_digest();
+            self.step()?;
         }
         Ok(())
     }
@@ -2166,26 +2076,14 @@ impl<'p> Simulator<'p> {
         w.put_u64(self.committed);
         w.put_u64(self.last_commit_cycle);
         w.put_opt_u64(self.last_retired_pc.map(Addr::raw));
-        w.put_bool(self.measuring);
         w.put_bool(self.measure_state.is_some());
         if let Some(ms) = &self.measure_state {
             w.put_u64(ms.start_cycle);
             w.put_u64(ms.start_committed);
-            w.put_u64(ms.l1i0.hits);
-            w.put_u64(ms.l1i0.misses);
-            w.put_u64(ms.l1i0.fills);
-            w.put_u64(ms.l1i0.prefetch_fills);
-            w.put_u64(ms.l1i0.prefetch_useful);
-            w.put_bool(ms.ucp0.is_some());
-            if let Some(u0) = &ms.ucp0 {
-                u0.save_state(w);
-            }
             w.put_str(&serde_json::to_string(&ms.reg0).expect("snapshot serializes"));
         }
-        // Aggregate statistics and the registry contents go through serde
-        // — both are wide, growing structs whose JSON form already has a
-        // stable field order.
-        w.put_str(&serde_json::to_string(&self.stats).expect("stats serialize"));
+        // The registry holds every statistic; it goes through serde — a
+        // wide, growing map whose JSON form already has a stable order.
         w.put_str(
             &serde_json::to_string(&self.tele.handle.registry.snapshot())
                 .expect("registry snapshot serializes"),
@@ -2194,8 +2092,7 @@ impl<'p> Simulator<'p> {
         if let Some(s) = &self.sampler {
             w.put_str(&serde_json::to_string(&s.export_state()).expect("sampler state serializes"));
         }
-        // Fault-injection progress and the determinism auditor.
-        w.put_bool(self.skew_applied);
+        // The determinism auditor.
         w.put_u64(self.last_digest_committed);
         w.put_usize(self.digests.len());
         for d in &self.digests {
@@ -2335,33 +2232,11 @@ impl<'p> Simulator<'p> {
         self.committed = r.get_u64();
         self.last_commit_cycle = r.get_u64();
         self.last_retired_pc = r.get_opt_u64().map(Addr::new);
-        self.measuring = r.get_bool();
-        self.measure_state = r.get_bool().then(|| {
-            let start_cycle = r.get_u64();
-            let start_committed = r.get_u64();
-            let l1i0 = CacheStats {
-                hits: r.get_u64(),
-                misses: r.get_u64(),
-                fills: r.get_u64(),
-                prefetch_fills: r.get_u64(),
-                prefetch_useful: r.get_u64(),
-            };
-            let ucp0 = r.get_bool().then(|| {
-                let mut u = UcpStats::default();
-                u.restore_state(r);
-                u
-            });
-            let reg0: RegistrySnapshot =
-                serde_json::from_str(r.get_str()).expect("checkpoint registry baseline parses");
-            MeasureState {
-                start_cycle,
-                start_committed,
-                l1i0,
-                ucp0,
-                reg0,
-            }
+        self.measure_state = r.get_bool().then(|| MeasureState {
+            start_cycle: r.get_u64(),
+            start_committed: r.get_u64(),
+            reg0: serde_json::from_str(r.get_str()).expect("checkpoint registry baseline parses"),
         });
-        self.stats = serde_json::from_str(r.get_str()).expect("checkpoint stats parse");
         let snap: RegistrySnapshot =
             serde_json::from_str(r.get_str()).expect("checkpoint registry snapshot parses");
         self.tele.handle.registry.restore(&snap);
@@ -2376,7 +2251,6 @@ impl<'p> Simulator<'p> {
             let st = serde_json::from_str(r.get_str()).expect("checkpoint sampler state parses");
             s.import_state(st);
         }
-        self.skew_applied = r.get_bool();
         self.last_digest_committed = r.get_u64();
         let n = r.get_usize();
         self.digests.clear();

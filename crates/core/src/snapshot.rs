@@ -31,7 +31,7 @@ use ucp_telemetry::{CacheReadError, FaultPlan};
 /// Checkpoint format version; bumped whenever any component's serialized
 /// layout changes. Doubles as the envelope `model_version`, so stale
 /// checkpoints fail integrity verification instead of mis-restoring.
-pub const CKPT_VERSION: u32 = 1;
+pub const CKPT_VERSION: u32 = 2;
 
 /// Default number of checkpoints retained per run.
 pub const DEFAULT_CKPT_KEEP: usize = 3;

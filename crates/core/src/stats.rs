@@ -1,8 +1,57 @@
 //! Simulation statistics: everything the paper's tables and figures need.
+//!
+//! The telemetry registry is the only place an event is counted: each
+//! site bumps one registry counter, through warm-up and measurement
+//! alike. [`SimStats`] is a view of one measurement window, built once by
+//! [`SimStats::from_window`] from the registry's delta over the window.
+//! [`paths`] names the counters this crate increments; the µ-op cache
+//! and memory counters it reads are defined by their own crates.
 
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use ucp_bpred::Provider;
+use ucp_frontend::{UOPC_HITS_PATH, UOPC_MISSES_PATH};
+use ucp_mem::{L1I_DEMAND_LOOKUPS_PATH, L1I_DEMAND_LOOKUP_MISSES_PATH};
+use ucp_telemetry::interval::INSTRET_PATH;
+use ucp_telemetry::{Counter, Registry, RegistrySnapshot};
+
+/// Registry paths of the events the pipeline and the UCP engine count.
+/// Each is the counter behind the [`SimStats`] field of the same name, or
+/// (`UCP_*`) the [`UcpStats`] field; the exceptions say what they count.
+pub mod paths {
+    pub const BTB_RESTEERS: &str = "pipeline.btb_resteers";
+    pub const INDIRECT_MISPREDICTS: &str = "pipeline.indirect_mispredicts";
+    /// `SimStats::h2p_tage` and `h2p_ucp` counts (their `mispredicted`
+    /// is `cond_mispredicts`).
+    pub const H2P_TAGE_MARKED: &str = "pipeline.h2p.tage.marked";
+    pub const H2P_TAGE_MARKED_MISPREDICTED: &str = "pipeline.h2p.tage.marked_mispredicted";
+    pub const H2P_UCP_MARKED: &str = "pipeline.h2p.ucp.marked";
+    pub const H2P_UCP_MARKED_MISPREDICTED: &str = "pipeline.h2p.ucp.marked_mispredicted";
+    pub const MODE_SWITCHES: &str = "frontend.uopc.mode_switches";
+    /// `SimStats::uop_hits`: lookups whose entry covered the whole block.
+    pub const UOP_HITS: &str = "frontend.uopc.block_hits";
+    pub const UOPS_FROM_UOP_CACHE: &str = "frontend.uops_from_uop_cache";
+    pub const UOPS_FROM_DECODE: &str = "frontend.uops_from_decode";
+    pub const MRC_STREAMED_UOPS: &str = "frontend.mrc.streamed_uops";
+    pub const L1I_PREFETCHES_ISSUED: &str = "prefetch.l1i_issued";
+    pub const UCP_WALKS_STARTED: &str = "ucp.walks_started";
+    pub const UCP_PREEMPTED: &str = "ucp.walks_preempted";
+    /// Walks that stopped, for any of the four `UCP_STOPPED_*` reasons.
+    pub const UCP_WALKS_STOPPED: &str = "ucp.walks_stopped";
+    pub const UCP_STOPPED_THRESHOLD: &str = "ucp.stopped_threshold";
+    pub const UCP_STOPPED_BTB_MISS: &str = "ucp.stopped_btb_miss";
+    pub const UCP_STOPPED_INDIRECT: &str = "ucp.stopped_indirect";
+    pub const UCP_STOPPED_NO_BRANCH: &str = "ucp.stopped_no_branch";
+    pub const UCP_LINES_PREFETCHED: &str = "ucp.lines_prefetched";
+    pub const UCP_ENTRIES_INSERTED: &str = "ucp.entries_inserted";
+    pub const UCP_TIMELY_USED: &str = "ucp.timely_used";
+    pub const UCP_LATE_USED: &str = "ucp.late_used";
+    pub const UCP_FILTERED_PRESENT: &str = "ucp.filtered_present";
+    pub const UCP_BTB_CONFLICTS: &str = "ucp.btb_conflicts";
+    pub const UCP_DEMAND_STEALS: &str = "ucp.demand_window_steals";
+    pub const UCP_ALT_DECODED_UOPS: &str = "ucp.alt_decoded_uops";
+}
 
 /// A counter pair (events, mispredictions) used by the Fig. 6 buckets.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
@@ -92,23 +141,25 @@ pub struct UcpStats {
 }
 
 impl UcpStats {
-    /// Counter-wise difference `self - earlier` (measurement windowing).
-    pub fn delta_since(&self, earlier: &UcpStats) -> UcpStats {
+    /// The engine's counts over one measurement window, read from the
+    /// window's registry delta.
+    pub fn from_window(window: &RegistrySnapshot) -> UcpStats {
+        let c = |path: &str| window.counter(path);
         UcpStats {
-            walks_started: self.walks_started - earlier.walks_started,
-            stopped_threshold: self.stopped_threshold - earlier.stopped_threshold,
-            stopped_btb_miss: self.stopped_btb_miss - earlier.stopped_btb_miss,
-            stopped_indirect: self.stopped_indirect - earlier.stopped_indirect,
-            stopped_no_branch: self.stopped_no_branch - earlier.stopped_no_branch,
-            preempted: self.preempted - earlier.preempted,
-            lines_prefetched: self.lines_prefetched - earlier.lines_prefetched,
-            entries_inserted: self.entries_inserted - earlier.entries_inserted,
-            timely_used: self.timely_used - earlier.timely_used,
-            late_used: self.late_used - earlier.late_used,
-            filtered_present: self.filtered_present - earlier.filtered_present,
-            btb_conflicts: self.btb_conflicts - earlier.btb_conflicts,
-            demand_steals: self.demand_steals - earlier.demand_steals,
-            alt_decoded_uops: self.alt_decoded_uops - earlier.alt_decoded_uops,
+            walks_started: c(paths::UCP_WALKS_STARTED),
+            stopped_threshold: c(paths::UCP_STOPPED_THRESHOLD),
+            stopped_btb_miss: c(paths::UCP_STOPPED_BTB_MISS),
+            stopped_indirect: c(paths::UCP_STOPPED_INDIRECT),
+            stopped_no_branch: c(paths::UCP_STOPPED_NO_BRANCH),
+            preempted: c(paths::UCP_PREEMPTED),
+            lines_prefetched: c(paths::UCP_LINES_PREFETCHED),
+            entries_inserted: c(paths::UCP_ENTRIES_INSERTED),
+            timely_used: c(paths::UCP_TIMELY_USED),
+            late_used: c(paths::UCP_LATE_USED),
+            filtered_present: c(paths::UCP_FILTERED_PRESENT),
+            btb_conflicts: c(paths::UCP_BTB_CONFLICTS),
+            demand_steals: c(paths::UCP_DEMAND_STEALS),
+            alt_decoded_uops: c(paths::UCP_ALT_DECODED_UOPS),
         }
     }
 
@@ -127,50 +178,6 @@ impl UcpStats {
             0.0
         } else {
             100.0 * self.late_used as f64 / self.entries_inserted as f64
-        }
-    }
-
-    /// Serializes every counter, in declaration order.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        for v in [
-            self.walks_started,
-            self.stopped_threshold,
-            self.stopped_btb_miss,
-            self.stopped_indirect,
-            self.stopped_no_branch,
-            self.preempted,
-            self.lines_prefetched,
-            self.entries_inserted,
-            self.timely_used,
-            self.late_used,
-            self.filtered_present,
-            self.btb_conflicts,
-            self.demand_steals,
-            self.alt_decoded_uops,
-        ] {
-            w.put_u64(v);
-        }
-    }
-
-    /// Restores state written by [`UcpStats::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        for slot in [
-            &mut self.walks_started,
-            &mut self.stopped_threshold,
-            &mut self.stopped_btb_miss,
-            &mut self.stopped_indirect,
-            &mut self.stopped_no_branch,
-            &mut self.preempted,
-            &mut self.lines_prefetched,
-            &mut self.entries_inserted,
-            &mut self.timely_used,
-            &mut self.late_used,
-            &mut self.filtered_present,
-            &mut self.btb_conflicts,
-            &mut self.demand_steals,
-            &mut self.alt_decoded_uops,
-        ] {
-            *slot = r.get_u64();
         }
     }
 }
@@ -223,6 +230,60 @@ pub struct SimStats {
 }
 
 impl SimStats {
+    /// The statistics of one measurement window. `window` is the
+    /// registry's delta over the window and `cycles` its length in
+    /// cycles, which is taken from the clock rather than the accounting
+    /// total so that the accounting check in `run_full` stays a check.
+    pub fn from_window(window: &RegistrySnapshot, cycles: u64) -> SimStats {
+        let c = |path: &str| window.counter(path);
+        let mut s = SimStats {
+            instructions: c(INSTRET_PATH),
+            cycles,
+            uops_from_uop_cache: c(paths::UOPS_FROM_UOP_CACHE),
+            uops_from_decode: c(paths::UOPS_FROM_DECODE),
+            mode_switches: c(paths::MODE_SWITCHES),
+            indirect_mispredicts: c(paths::INDIRECT_MISPREDICTS),
+            btb_resteers: c(paths::BTB_RESTEERS),
+            l1i_accesses: c(L1I_DEMAND_LOOKUPS_PATH),
+            l1i_misses: c(L1I_DEMAND_LOOKUP_MISSES_PATH),
+            // The pipeline is the only caller of `UopCache::lookup`.
+            uop_lookups: c(UOPC_HITS_PATH) + c(UOPC_MISSES_PATH),
+            uop_hits: c(paths::UOP_HITS),
+            l1i_prefetches_issued: c(paths::L1I_PREFETCHES_ISSUED),
+            mrc_streamed_uops: c(paths::MRC_STREAMED_UOPS),
+            ucp: UcpStats::from_window(window),
+            ..SimStats::default()
+        };
+        for provider in Provider::ALL {
+            for &bucket in bucket_keys(provider) {
+                let preds = c(&provider_path(provider, bucket, "preds"));
+                if preds == 0 {
+                    continue;
+                }
+                let b = BucketCount {
+                    preds,
+                    misses: c(&provider_path(provider, bucket, "misses")),
+                };
+                s.provider_buckets.insert((provider, bucket), b);
+                let t = s.provider_totals.entry(provider).or_default();
+                t.preds += b.preds;
+                t.misses += b.misses;
+                s.cond_branches += b.preds;
+                s.cond_mispredicts += b.misses;
+            }
+        }
+        // Every resolved conditional branch is classified by both
+        // estimators, so both see every misprediction.
+        let h2p = |marked, marked_mispredicted| H2pCounts {
+            marked: c(marked),
+            marked_mispredicted: c(marked_mispredicted),
+            mispredicted: s.cond_mispredicts,
+        };
+        s.h2p_tage = h2p(paths::H2P_TAGE_MARKED, paths::H2P_TAGE_MARKED_MISPREDICTED);
+        s.h2p_ucp = h2p(paths::H2P_UCP_MARKED, paths::H2P_UCP_MARKED_MISPREDICTED);
+        s
+    }
+
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -276,24 +337,9 @@ impl SimStats {
     /// (counter, SC sum, or loop confidence); SC sums are bucketed by
     /// magnitude range like the paper's Fig. 6b.
     pub fn record_provider(&mut self, provider: Provider, value: i32, mispredicted: bool) {
-        let bucket_key = match provider {
-            Provider::Sc => {
-                let m = value.unsigned_abs();
-                if m < 32 {
-                    0
-                } else if m < 64 {
-                    32
-                } else if m < 128 {
-                    64
-                } else {
-                    128
-                }
-            }
-            _ => value,
-        };
         let b = self
             .provider_buckets
-            .entry((provider, bucket_key))
+            .entry((provider, bucket_of(provider, value)))
             .or_default();
         b.preds += 1;
         b.misses += u64::from(mispredicted);
@@ -311,6 +357,113 @@ impl SimStats {
         }
         let own = self.provider_totals.get(&provider).map_or(0, |b| b.misses);
         100.0 * own as f64 / total as f64
+    }
+}
+
+/// The Fig. 6 buckets of `provider`: every value of the counter it
+/// reports (3-bit TAGE counters, 2-bit bimodal counters, 3-bit loop
+/// confidence), or the four SC-sum magnitude ranges.
+fn bucket_keys(provider: Provider) -> &'static [i32] {
+    match provider {
+        Provider::HitBank | Provider::AltBank => &[-4, -3, -2, -1, 0, 1, 2, 3],
+        Provider::Bimodal | Provider::BimodalLow8 => &[-2, -1, 0, 1],
+        Provider::LoopPred => &[0, 1, 2, 3, 4, 5, 6, 7],
+        Provider::Sc => &[0, 32, 64, 128],
+    }
+}
+
+/// The bucket a confidence `value` of `provider` falls in.
+fn bucket_of(provider: Provider, value: i32) -> i32 {
+    match provider {
+        Provider::Sc => match value.unsigned_abs() {
+            0..=31 => 0,
+            32..=63 => 32,
+            64..=127 => 64,
+            _ => 128,
+        },
+        _ => value,
+    }
+}
+
+/// Registry path of one bucket's `preds` or `misses` counter.
+fn provider_path(provider: Provider, bucket: i32, field: &str) -> String {
+    format!("pipeline.provider.{provider:?}.{bucket}.{field}")
+}
+
+/// Most buckets any provider has (see [`bucket_keys`]).
+const MAX_BUCKETS: usize = 8;
+
+/// The registry counters a resolved conditional branch bumps: its
+/// provider bucket (Fig. 6/7) and its H2P marks (Fig. 9). Buckets sit in
+/// a fixed table indexed by provider and bucket, so recording a branch is
+/// an index, not a map insert; each bucket registers its counters on
+/// first use, so building a simulator stays cheap.
+pub(crate) struct CondCounters {
+    registry: Registry,
+    /// `(preds, misses)` at `Provider as usize * MAX_BUCKETS + bucket`.
+    buckets: Vec<OnceCell<(Counter, Counter)>>,
+    /// `(marked, marked_mispredicted)` for TAGE-Conf, then UCP-Conf.
+    h2p: [(Counter, Counter); 2],
+}
+
+impl CondCounters {
+    pub(crate) fn bound_to(registry: &Registry) -> Self {
+        assert!(
+            Provider::ALL
+                .iter()
+                .all(|&p| bucket_keys(p).len() <= MAX_BUCKETS),
+            "a provider's buckets would spill into the next provider's slots"
+        );
+        let pair = |a, b| (registry.counter(a), registry.counter(b));
+        CondCounters {
+            registry: registry.clone(),
+            buckets: vec![OnceCell::new(); Provider::ALL.len() * MAX_BUCKETS],
+            h2p: [
+                pair(paths::H2P_TAGE_MARKED, paths::H2P_TAGE_MARKED_MISPREDICTED),
+                pair(paths::H2P_UCP_MARKED, paths::H2P_UCP_MARKED_MISPREDICTED),
+            ],
+        }
+    }
+
+    /// Counts one resolved conditional prediction. `value` is the
+    /// provider's confidence value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` lies outside the provider's counter range.
+    pub(crate) fn record(
+        &self,
+        provider: Provider,
+        value: i32,
+        mispredicted: bool,
+        h2p_tage: bool,
+        h2p_ucp: bool,
+    ) {
+        let bucket = bucket_of(provider, value);
+        let offset = bucket_keys(provider)
+            .iter()
+            .position(|&k| k == bucket)
+            .unwrap_or_else(|| panic!("{provider:?} confidence value {value} has no bucket"));
+        let (preds, misses) =
+            self.buckets[provider as usize * MAX_BUCKETS + offset].get_or_init(|| {
+                let c = |field| {
+                    self.registry
+                        .counter(&provider_path(provider, bucket, field))
+                };
+                (c("preds"), c("misses"))
+            });
+        preds.inc();
+        if mispredicted {
+            misses.inc();
+        }
+        for (marked, (m, mm)) in [h2p_tage, h2p_ucp].into_iter().zip(&self.h2p) {
+            if marked {
+                m.inc();
+                if mispredicted {
+                    mm.inc();
+                }
+            }
+        }
     }
 }
 
@@ -410,6 +563,49 @@ mod tests {
         assert_eq!(b.misses, 1);
         assert!((b.miss_rate_pct() - 50.0).abs() < 1e-9);
         assert!((s.provider_miss_share_pct(Provider::AltBank) - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn window_view_matches_direct_recording() {
+        // The same branches recorded into the registry table and straight
+        // into a SimStats give the same Fig. 6/7/9 statistics.
+        let registry = Registry::default();
+        let cond = CondCounters::bound_to(&registry);
+        let mut direct = SimStats::default();
+        let branches = [
+            (Provider::HitBank, -4, true, true, false),
+            (Provider::HitBank, 3, false, false, true),
+            (Provider::AltBank, 0, true, true, true),
+            (Provider::Bimodal, -2, false, false, false),
+            (Provider::BimodalLow8, 1, true, false, true),
+            (Provider::LoopPred, 7, false, false, false),
+            (Provider::Sc, -40, true, true, true),
+            (Provider::Sc, 200, false, false, false),
+        ];
+        for (provider, value, mis, h2p_tage, h2p_ucp) in branches {
+            cond.record(provider, value, mis, h2p_tage, h2p_ucp);
+            direct.record_provider(provider, value, mis);
+        }
+        let s = SimStats::from_window(&registry.snapshot(), 10);
+        let fig67 = |m: &SimStats| format!("{:?}", (&m.provider_buckets, &m.provider_totals));
+        assert_eq!(fig67(&s), fig67(&direct));
+        assert_eq!((s.cond_branches, s.cond_mispredicts), (8, 4));
+        assert_eq!((s.h2p_tage.marked, s.h2p_tage.marked_mispredicted), (3, 3));
+        assert_eq!((s.h2p_ucp.marked, s.h2p_ucp.marked_mispredicted), (4, 3));
+        assert_eq!(s.h2p_tage.mispredicted, 4);
+        assert_eq!(s.cycles, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "has no bucket")]
+    fn out_of_range_confidence_is_rejected() {
+        CondCounters::bound_to(&Registry::default()).record(
+            Provider::HitBank,
+            4,
+            false,
+            false,
+            false,
+        );
     }
 
     #[test]

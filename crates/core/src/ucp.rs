@@ -15,7 +15,7 @@
 //! Alt-Ind, or after 63 branch-free instructions.
 
 use crate::config::{ConfKind, UcpConfig};
-use crate::stats::UcpStats;
+use crate::stats::paths;
 use sim_isa::{Addr, BranchClass};
 use ucp_bpred::{
     push_target_history, ConfidenceEstimator, HistCheckpoint, HistoryState, Ittage, IttageParams,
@@ -57,7 +57,7 @@ struct AltWalk {
     conflict_ctr: u8,
 }
 
-/// Why a walk ended (maps to [`UcpStats`] counters).
+/// Why a walk ended (one `ucp.stopped_*` counter each).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum StopReason {
     Threshold,
@@ -74,36 +74,51 @@ pub struct UcpCycleOut {
     pub demand_window_steal: bool,
 }
 
-/// Telemetry handles for the `ucp.*` namespace; detached until
-/// [`UcpEngine::attach_telemetry`]. These mirror the [`UcpStats`] fields
-/// the engine already keeps — the duplication is deliberate: `stats` is
-/// windowed by the pipeline's measurement delta, while the registry delta
-/// is computed independently so cross-layer reports share one mechanism.
+/// The engine's statistics: one `ucp.*` registry counter per event
+/// (paths in [`paths`]), detached until [`UcpEngine::attach_telemetry`].
+/// The pipeline reads them back as a [`crate::UcpStats`] over its
+/// measurement window.
 #[derive(Debug, Default)]
 struct UcpTelemetry {
     tracer: Tracer,
     walks_started: Counter,
     walks_preempted: Counter,
     walks_stopped: Counter,
+    /// One counter per [`StopReason`], indexed by `reason as usize`.
+    stopped: [Counter; 4],
     lines_prefetched: Counter,
     entries_inserted: Counter,
+    timely_used: Counter,
+    late_used: Counter,
     filtered_present: Counter,
     demand_steals: Counter,
     btb_conflicts: Counter,
+    alt_decoded_uops: Counter,
 }
 
 impl UcpTelemetry {
     fn bound_to(t: &Telemetry) -> Self {
+        let c = |path| t.registry.counter(path);
         UcpTelemetry {
             tracer: t.tracer.clone(),
-            walks_started: t.registry.counter("ucp.walks_started"),
-            walks_preempted: t.registry.counter("ucp.walks_preempted"),
-            walks_stopped: t.registry.counter("ucp.walks_stopped"),
-            lines_prefetched: t.registry.counter("ucp.lines_prefetched"),
-            entries_inserted: t.registry.counter("ucp.entries_inserted"),
-            filtered_present: t.registry.counter("ucp.filtered_present"),
-            demand_steals: t.registry.counter("ucp.demand_window_steals"),
-            btb_conflicts: t.registry.counter("ucp.btb_conflicts"),
+            walks_started: c(paths::UCP_WALKS_STARTED),
+            walks_preempted: c(paths::UCP_PREEMPTED),
+            walks_stopped: c(paths::UCP_WALKS_STOPPED),
+            stopped: [
+                paths::UCP_STOPPED_THRESHOLD,
+                paths::UCP_STOPPED_BTB_MISS,
+                paths::UCP_STOPPED_INDIRECT,
+                paths::UCP_STOPPED_NO_BRANCH,
+            ]
+            .map(c),
+            lines_prefetched: c(paths::UCP_LINES_PREFETCHED),
+            entries_inserted: c(paths::UCP_ENTRIES_INSERTED),
+            timely_used: c(paths::UCP_TIMELY_USED),
+            late_used: c(paths::UCP_LATE_USED),
+            filtered_present: c(paths::UCP_FILTERED_PRESENT),
+            demand_steals: c(paths::UCP_DEMAND_STEALS),
+            btb_conflicts: c(paths::UCP_BTB_CONFLICTS),
+            alt_decoded_uops: c(paths::UCP_ALT_DECODED_UOPS),
         }
     }
 }
@@ -128,8 +143,6 @@ pub struct UcpEngine {
     trigger_seq: u64,
     /// Trigger instances considered "current" for timeliness accounting.
     recent_triggers: std::collections::VecDeque<u64>,
-    /// Statistics (drained into `SimStats` by the pipeline).
-    pub stats: UcpStats,
     tele: UcpTelemetry,
 }
 
@@ -160,14 +173,14 @@ impl UcpEngine {
             decode_progress: 0,
             trigger_seq: 0,
             recent_triggers: std::collections::VecDeque::with_capacity(16),
-            stats: UcpStats::default(),
             tele: UcpTelemetry::default(),
             cfg,
         }
     }
 
     /// Binds the `ucp.*` counters and the `Ucp` trace category to `t`'s
-    /// registry and tracer.
+    /// registry and tracer. A detached engine counts into cells nobody
+    /// reads.
     pub fn attach_telemetry(&mut self, t: &Telemetry) {
         self.tele = UcpTelemetry::bound_to(t);
     }
@@ -268,11 +281,9 @@ impl UcpEngine {
     /// walk, if any, is preempted (§IV-E case 1).
     pub fn trigger(&mut self, alt_target: Addr, h2p_predicted_taken: bool, main_ras: &Ras) {
         if self.walk.is_some() {
-            self.stats.preempted += 1;
             self.tele.walks_preempted.inc();
         }
         self.trigger_seq += 1;
-        self.stats.walks_started += 1;
         self.tele.walks_started.inc();
         let trigger_seq = self.trigger_seq;
         self.tele.tracer.emit(Category::Ucp, "walk_start", || {
@@ -312,9 +323,9 @@ impl UcpEngine {
     /// Records a demand hit on a prefetched entry (timeliness accounting).
     pub fn record_entry_use(&mut self, trigger: u64) {
         if self.recent_triggers.contains(&trigger) {
-            self.stats.timely_used += 1;
+            self.tele.timely_used.inc();
         } else {
-            self.stats.late_used += 1;
+            self.tele.late_used.inc();
         }
     }
 
@@ -328,12 +339,7 @@ impl UcpEngine {
         self.tele
             .tracer
             .emit(Category::Ucp, "walk_stop", || format!("reason={reason:?}"));
-        match reason {
-            StopReason::Threshold => self.stats.stopped_threshold += 1,
-            StopReason::BtbMiss => self.stats.stopped_btb_miss += 1,
-            StopReason::Indirect => self.stats.stopped_indirect += 1,
-            StopReason::NoBranch => self.stats.stopped_no_branch += 1,
-        }
+        self.tele.stopped[reason as usize].inc();
         self.walk = None;
     }
 
@@ -387,7 +393,6 @@ impl UcpEngine {
             if demand_btb_banks & (1u64 << (bank as u64 % 64)) != 0 {
                 if walk.conflict_ctr >= 7 {
                     out.demand_window_steal = true;
-                    self.stats.demand_steals += 1;
                     self.tele.demand_steals.inc();
                     self.tele
                         .tracer
@@ -397,7 +402,6 @@ impl UcpEngine {
                     walk.conflict_ctr = 0;
                 } else {
                     walk.conflict_ctr += 1;
-                    self.stats.btb_conflicts += 1;
                     self.tele.btb_conflicts.inc();
                     self.walk = Some(walk);
                     return;
@@ -527,7 +531,6 @@ impl UcpEngine {
                 return;
             }
             if uc.probe(blk.start) {
-                self.stats.filtered_present += 1;
                 self.tele.filtered_present.inc();
                 let _ = self.alt_ftq.pop();
                 return;
@@ -545,7 +548,6 @@ impl UcpEngine {
         match hier.access_inst(blk.start.line(), now, true) {
             Ok(acc) => {
                 let _ = self.l1i_pq.pop();
-                self.stats.lines_prefetched += 1;
                 self.tele.lines_prefetched.inc();
                 self.tele.tracer.emit(Category::Ucp, "line_prefetch", || {
                     format!(
@@ -617,7 +619,7 @@ impl UcpEngine {
             let take = remaining.min(budget);
             self.decode_progress += take;
             budget -= take;
-            self.stats.alt_decoded_uops += u64::from(take);
+            self.tele.alt_decoded_uops.add(u64::from(take));
             if self.decode_progress >= u32::from(blk.n) {
                 let _ = self.decode_q.pop();
                 self.decode_progress = 0;
@@ -625,7 +627,6 @@ impl UcpEngine {
                     crate::pipeline::build_entries(prog, blk.start, blk.n, true, blk.trigger)
                 {
                     uc.insert(spec);
-                    self.stats.entries_inserted += 1;
                     self.tele.entries_inserted.inc();
                 }
                 self.tele.tracer.emit(Category::Ucp, "alt_fill", || {
@@ -709,7 +710,6 @@ impl UcpEngine {
         for &t in &self.recent_triggers {
             w.put_u64(t);
         }
-        self.stats.save_state(w);
         w.mark(0x7cb1);
     }
 
@@ -765,7 +765,6 @@ impl UcpEngine {
         for _ in 0..r.get_usize() {
             self.recent_triggers.push_back(r.get_u64());
         }
-        self.stats.restore_state(r);
         r.check(0x7cb1);
     }
 }
@@ -811,6 +810,22 @@ pub fn cond_stop_weight(p: &SclPrediction) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::UcpStats;
+
+    /// An engine whose counters land in a registry the test can read.
+    fn engine() -> (UcpEngine, Telemetry) {
+        let mut e = UcpEngine::new(UcpConfig {
+            enabled: true,
+            ..UcpConfig::default()
+        });
+        let t = Telemetry::disabled();
+        e.attach_telemetry(&t);
+        (e, t)
+    }
+
+    fn stats(t: &Telemetry) -> UcpStats {
+        UcpStats::from_window(&t.registry.snapshot())
+    }
 
     fn pred_with(provider: Provider, ctr: i8, sc_sum: i32) -> SclPrediction {
         let bp = TageScL::new(SclPreset::Alt8K);
@@ -849,17 +864,14 @@ mod tests {
 
     #[test]
     fn trigger_and_preempt() {
-        let mut e = UcpEngine::new(UcpConfig {
-            enabled: true,
-            ..UcpConfig::default()
-        });
+        let (mut e, t) = engine();
         let ras = Ras::new(64);
         e.trigger(Addr::new(0x1000), true, &ras);
         assert!(e.walking());
-        assert_eq!(e.stats.walks_started, 1);
+        assert_eq!(stats(&t).walks_started, 1);
         e.trigger(Addr::new(0x2000), false, &ras);
-        assert_eq!(e.stats.preempted, 1);
-        assert_eq!(e.stats.walks_started, 2);
+        assert_eq!(stats(&t).preempted, 1);
+        assert_eq!(stats(&t).walks_started, 2);
     }
 
     #[test]
@@ -878,20 +890,17 @@ mod tests {
 
     #[test]
     fn timeliness_window() {
-        let mut e = UcpEngine::new(UcpConfig {
-            enabled: true,
-            ..UcpConfig::default()
-        });
+        let (mut e, t) = engine();
         let ras = Ras::new(64);
         e.trigger(Addr::new(0x1000), true, &ras); // trigger 1
         e.record_entry_use(1);
-        assert_eq!(e.stats.timely_used, 1);
+        assert_eq!(stats(&t).timely_used, 1);
         for i in 0..17 {
             e.trigger(Addr::new(0x1000 + i * 4), true, &ras);
         }
         // Trigger 1 has aged out of the 16-deep window.
         e.record_entry_use(1);
-        assert_eq!(e.stats.late_used, 1);
+        assert_eq!(stats(&t).late_used, 1);
     }
 
     #[test]

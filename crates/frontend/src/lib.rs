@@ -32,5 +32,6 @@ pub use btb::{Btb, BtbConfig, BtbEntry};
 pub use queue::BoundedQueue;
 pub use ras::{Ras, RasCheckpoint};
 pub use uop_cache::{
-    EntryEnd, Evicted, UopCache, UopCacheConfig, UopCacheStats, UopEntrySpec, UopHit,
+    EntryEnd, Evicted, UopCache, UopCacheConfig, UopEntrySpec, UopHit, UOPC_HITS_PATH,
+    UOPC_MISSES_PATH,
 };

@@ -142,22 +142,14 @@ impl Default for Slot {
     }
 }
 
-/// Aggregate µ-op cache statistics.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
-pub struct UopCacheStats {
-    /// Demand lookups.
-    pub lookups: u64,
-    /// Demand hits.
-    pub hits: u64,
-    /// Entries inserted by the demand (build) path.
-    pub demand_fills: u64,
-    /// Entries inserted by UCP prefetching.
-    pub prefetch_fills: u64,
-    /// Prefetched entries evicted without ever being used.
-    pub prefetch_evicted_unused: u64,
-}
+/// Counter path of demand lookups that found an entry at the block start
+/// (of any length; see [`UopHit::num_uops`]).
+pub const UOPC_HITS_PATH: &str = "frontend.uopc.hits";
 
-/// Telemetry handles for the `frontend.uopc.*` namespace; detached (and
+/// Counter path of demand lookups that found no entry.
+pub const UOPC_MISSES_PATH: &str = "frontend.uopc.misses";
+
+/// The µ-op cache's statistics: `frontend.uopc.*` counters, detached (and
 /// therefore unobservable but still branch-free) until
 /// [`UopCache::attach_telemetry`] binds them.
 #[derive(Clone, Debug, Default)]
@@ -168,17 +160,19 @@ struct UopcTelemetry {
     demand_fills: Counter,
     prefetch_fills: Counter,
     evictions: Counter,
+    prefetch_evicted_unused: Counter,
 }
 
 impl UopcTelemetry {
     fn bound_to(t: &Telemetry) -> Self {
         UopcTelemetry {
             tracer: t.tracer.clone(),
-            hits: t.registry.counter("frontend.uopc.hits"),
-            misses: t.registry.counter("frontend.uopc.misses"),
+            hits: t.registry.counter(UOPC_HITS_PATH),
+            misses: t.registry.counter(UOPC_MISSES_PATH),
             demand_fills: t.registry.counter("frontend.uopc.demand_fills"),
             prefetch_fills: t.registry.counter("frontend.uopc.prefetch_fills"),
             evictions: t.registry.counter("frontend.uopc.evictions"),
+            prefetch_evicted_unused: t.registry.counter("frontend.uopc.prefetch_evicted_unused"),
         }
     }
 }
@@ -189,7 +183,6 @@ pub struct UopCache {
     cfg: UopCacheConfig,
     slots: Vec<Slot>,
     stamp: u64,
-    stats: UopCacheStats,
     tele: UopcTelemetry,
 }
 
@@ -204,7 +197,6 @@ impl UopCache {
         UopCache {
             slots: vec![Slot::default(); cfg.sets * cfg.ways],
             stamp: 0,
-            stats: UopCacheStats::default(),
             tele: UopcTelemetry::default(),
             cfg,
         }
@@ -219,11 +211,6 @@ impl UopCache {
     /// The geometry.
     pub fn config(&self) -> &UopCacheConfig {
         &self.cfg
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &UopCacheStats {
-        &self.stats
     }
 
     #[inline]
@@ -241,7 +228,6 @@ impl UopCache {
 
     /// Demand lookup for an entry starting exactly at `start`.
     pub fn lookup(&mut self, start: Addr) -> Option<UopHit> {
-        self.stats.lookups += 1;
         self.stamp += 1;
         let set = self.set_of(start);
         let base = set * self.cfg.ways;
@@ -250,7 +236,6 @@ impl UopCache {
                 s.lru = self.stamp;
                 let first = s.prefetched && !s.used;
                 s.used = true;
-                self.stats.hits += 1;
                 self.tele.hits.inc();
                 return Some(UopHit {
                     num_uops: s.num_uops,
@@ -280,10 +265,8 @@ impl UopCache {
         let set = self.set_of(spec.start);
         let base = set * self.cfg.ways;
         if spec.prefetched {
-            self.stats.prefetch_fills += 1;
             self.tele.prefetch_fills.inc();
         } else {
-            self.stats.demand_fills += 1;
             self.tele.demand_fills.inc();
         }
         self.tele.tracer.emit(Category::UopCache, "insert", || {
@@ -321,7 +304,7 @@ impl UopCache {
         if let Some(e) = &evicted {
             self.tele.evictions.inc();
             if e.prefetched && !e.used {
-                self.stats.prefetch_evicted_unused += 1;
+                self.tele.prefetch_evicted_unused.inc();
             }
             self.tele.tracer.emit(Category::UopCache, "evict", || {
                 format!(
@@ -346,10 +329,12 @@ impl UopCache {
 
     /// Demand hit rate so far.
     pub fn hit_rate(&self) -> f64 {
-        if self.stats.lookups == 0 {
+        let hits = self.tele.hits.get();
+        let lookups = hits + self.tele.misses.get();
+        if lookups == 0 {
             1.0
         } else {
-            self.stats.hits as f64 / self.stats.lookups as f64
+            hits as f64 / lookups as f64
         }
     }
 
@@ -358,9 +343,8 @@ impl UopCache {
         self.slots.iter().filter(|s| s.valid).count()
     }
 
-    /// Serializes the mutable state (slots, LRU stamp, statistics).
-    /// Telemetry handles are rebound via [`UopCache::attach_telemetry`],
-    /// not checkpointed.
+    /// Serializes the mutable state (slots and LRU stamp). The statistics
+    /// live in the telemetry registry, which is checkpointed on its own.
     pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
         w.put_usize(self.slots.len());
         for s in &self.slots {
@@ -373,11 +357,6 @@ impl UopCache {
             w.put_u64(s.trigger);
         }
         w.put_u64(self.stamp);
-        w.put_u64(self.stats.lookups);
-        w.put_u64(self.stats.hits);
-        w.put_u64(self.stats.demand_fills);
-        w.put_u64(self.stats.prefetch_fills);
-        w.put_u64(self.stats.prefetch_evicted_unused);
     }
 
     /// Restores state written by [`UopCache::save_state`].
@@ -394,11 +373,6 @@ impl UopCache {
             s.trigger = r.get_u64();
         }
         self.stamp = r.get_u64();
-        self.stats.lookups = r.get_u64();
-        self.stats.hits = r.get_u64();
-        self.stats.demand_fills = r.get_u64();
-        self.stats.prefetch_fills = r.get_u64();
-        self.stats.prefetch_evicted_unused = r.get_u64();
     }
 }
 
@@ -462,13 +436,20 @@ mod tests {
 
     #[test]
     fn prefetch_attribution_and_first_use() {
+        let t = Telemetry::disabled();
         let mut u = UopCache::new(UopCacheConfig::kops_4());
+        u.attach_telemetry(&t);
         u.insert(UopEntrySpec {
             prefetched: true,
             trigger: 42,
             ..spec(0x2000, 6)
         });
-        assert_eq!(u.stats().prefetch_fills, 1);
+        assert_eq!(
+            t.registry
+                .snapshot()
+                .counter("frontend.uopc.prefetch_fills"),
+            1
+        );
         let h = u.lookup(Addr::new(0x2000)).unwrap();
         assert!(h.first_prefetch_use);
         assert_eq!(h.trigger, 42);
@@ -483,14 +464,17 @@ mod tests {
             ways: 1,
             uops_per_entry: 8,
         };
+        let t = Telemetry::disabled();
         let mut u = UopCache::new(cfg);
+        u.attach_telemetry(&t);
         u.insert(UopEntrySpec {
             prefetched: true,
             trigger: 7,
             ..spec(0x000, 8)
         });
         u.insert(spec(0x020, 8)); // evicts the unused prefetch
-        assert_eq!(u.stats().prefetch_evicted_unused, 1);
+        let snap = t.registry.snapshot();
+        assert_eq!(snap.counter("frontend.uopc.prefetch_evicted_unused"), 1);
     }
 
     #[test]

@@ -6,7 +6,9 @@ use proptest::prelude::*;
 use sim_isa::{Addr, BranchClass};
 use ucp_frontend::{
     BoundedQueue, Btb, BtbConfig, EntryEnd, Ras, UopCache, UopCacheConfig, UopEntrySpec,
+    UOPC_HITS_PATH, UOPC_MISSES_PATH,
 };
+use ucp_telemetry::Telemetry;
 
 proptest! {
     /// BoundedQueue behaves exactly like a capacity-limited VecDeque model.
@@ -89,6 +91,8 @@ proptest! {
         let cfg = UopCacheConfig { sets: 8, ways: 2, uops_per_entry: 8 };
         let cap = cfg.sets * cfg.ways;
         let mut uc = UopCache::new(cfg);
+        let telemetry = Telemetry::disabled();
+        uc.attach_telemetry(&telemetry);
         let mut lookups = 0u64;
         for &(slot, n, is_lookup) in &ops {
             let start = Addr::new(0x4000 + slot * 4);
@@ -107,8 +111,10 @@ proptest! {
             }
             prop_assert!(uc.occupancy() <= cap);
         }
-        prop_assert_eq!(uc.stats().lookups, lookups);
-        prop_assert!(uc.stats().hits <= lookups);
+        let snap = telemetry.registry.snapshot();
+        let hits = snap.counter(UOPC_HITS_PATH);
+        prop_assert_eq!(hits + snap.counter(UOPC_MISSES_PATH), lookups);
+        prop_assert!(hits <= lookups);
     }
 
     /// Banks partition addresses deterministically.

@@ -123,6 +123,14 @@ impl HierarchyConfig {
     }
 }
 
+/// Counter path of L1I demand lookups (every tag lookup of a demand
+/// fetch, including ones retried after an MSHR-full rejection).
+pub const L1I_DEMAND_LOOKUPS_PATH: &str = "mem.l1i.demand_lookups";
+
+/// Counter path of L1I demand lookups that missed. Unlike
+/// `mem.l1i.demand_misses`, this also counts misses the MSHR rejected.
+pub const L1I_DEMAND_LOOKUP_MISSES_PATH: &str = "mem.l1i.demand_lookup_misses";
+
 /// Telemetry handles for the `mem.*` namespace. Detached by default (the
 /// counters still tick into unobservable cells, which keeps every
 /// increment site branch-free); [`Hierarchy::attach_telemetry`] rebinds
@@ -130,6 +138,8 @@ impl HierarchyConfig {
 #[derive(Clone, Debug, Default)]
 struct MemTelemetry {
     tracer: Tracer,
+    l1i_demand_lookups: Counter,
+    l1i_demand_lookup_misses: Counter,
     l1i_demand_misses: Counter,
     l1d_demand_misses: Counter,
     l1i_mshr_full: Counter,
@@ -144,6 +154,8 @@ impl MemTelemetry {
     fn bound_to(t: &Telemetry) -> Self {
         MemTelemetry {
             tracer: t.tracer.clone(),
+            l1i_demand_lookups: t.registry.counter(L1I_DEMAND_LOOKUPS_PATH),
+            l1i_demand_lookup_misses: t.registry.counter(L1I_DEMAND_LOOKUP_MISSES_PATH),
             l1i_demand_misses: t.registry.counter("mem.l1i.demand_misses"),
             l1d_demand_misses: t.registry.counter("mem.l1d.demand_misses"),
             l1i_mshr_full: t.registry.counter("mem.l1i.mshr_full_stalls"),
@@ -300,12 +312,14 @@ impl Hierarchy {
         }
         let xlat = self.translate(addr, now, true);
         let t = now + xlat;
+        self.tele.l1i_demand_lookups.inc();
         match self.l1i.lookup(addr, t) {
             LookupResult::Hit { ready } => Ok(Access {
                 ready,
                 level: HitLevel::L1,
             }),
             LookupResult::Miss => {
+                self.tele.l1i_demand_lookup_misses.inc();
                 if self.l1i_mshr.is_full() {
                     self.tele.l1i_mshr_full.inc();
                     self.tele.tracer.emit(Category::Mem, "mshr_full", || {
@@ -368,21 +382,6 @@ impl Hierarchy {
     /// L1I statistics.
     pub fn l1i_stats(&self) -> &crate::cache::CacheStats {
         self.l1i.stats()
-    }
-
-    /// L1D statistics.
-    pub fn l1d_stats(&self) -> &crate::cache::CacheStats {
-        self.l1d.stats()
-    }
-
-    /// L2 statistics.
-    pub fn l2_stats(&self) -> &crate::cache::CacheStats {
-        self.l2.stats()
-    }
-
-    /// LLC statistics.
-    pub fn llc_stats(&self) -> &crate::cache::CacheStats {
-        self.llc.stats()
     }
 
     /// DRAM accesses served.

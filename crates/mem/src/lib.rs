@@ -30,6 +30,9 @@ pub mod tlb;
 
 pub use cache::{CacheConfig, CacheStats, SetAssocCache};
 pub use dram::{Dram, DramConfig};
-pub use hierarchy::{Access, Hierarchy, HierarchyConfig, HitLevel, MshrFull};
+pub use hierarchy::{
+    Access, Hierarchy, HierarchyConfig, HitLevel, MshrFull, L1I_DEMAND_LOOKUPS_PATH,
+    L1I_DEMAND_LOOKUP_MISSES_PATH,
+};
 pub use mshr::Mshr;
 pub use tlb::{Tlb, TlbConfig};

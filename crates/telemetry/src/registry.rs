@@ -300,6 +300,12 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
+    /// Value of the counter at `path` (0 when absent: snapshots and
+    /// deltas omit counters that are zero or did not move).
+    pub fn counter(&self, path: &str) -> u64 {
+        self.counters.get(path).copied().unwrap_or(0)
+    }
+
     /// True when no instrument recorded anything.
     pub fn is_empty(&self) -> bool {
         self.counters.values().all(|&v| v == 0) && self.histograms.values().all(|h| h.count == 0)
