@@ -1,11 +1,11 @@
 //! Shared harness plumbing: profiles, the fault-isolated resumable
 //! result cache, host-side self-profiling, and formatting.
 
-use crate::cache::{quarantine, read_envelope, write_envelope, CacheReadError};
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use ucp_core::{run_suite_outcome, RunResult, SimConfig, SimError, SuiteOptions};
+use ucp_telemetry::envelope::{fnv1a, quarantine, read_envelope, write_envelope, CacheReadError};
 use ucp_telemetry::fault::global_plan;
 use ucp_telemetry::AccountingBreakdown;
 use ucp_workloads::suite::{quick_suite, workload_suite};
@@ -92,16 +92,16 @@ impl Profile {
 /// entries moved into the integrity envelope, which also carries this
 /// version — stale entries now quarantine instead of silently orphaning;
 /// v4: every `SimStats` count became a registry counter, so
-/// `RunResult::telemetry` and the interval records carry more paths.)
-pub const MODEL_VERSION: u32 = 4;
+/// `RunResult::telemetry` and the interval records carry more paths;
+/// v5: component statistics left the serialized state and in-flight
+/// branch records became a ring, so cached `RunResult::digests` change.)
+pub const MODEL_VERSION: u32 = 5;
 
 fn cache_dir() -> PathBuf {
     std::env::var("UCP_RESULT_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("target/ucp-results"))
 }
-
-use crate::cache::fnv1a;
 
 /// A suite's results plus how the run got them: complete or degraded,
 /// fresh or resumed. Derefs to the *successful* results (in suite order),

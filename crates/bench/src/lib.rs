@@ -26,10 +26,9 @@
 //! `DEGRADED (k/n)` marker) instead of killing it; per-workload results
 //! persist incrementally so a killed run resumes; and every cache entry
 //! is integrity-checked (checksum + model version), with corrupt entries
-//! quarantined and regenerated. See [`cache`] and
+//! quarantined and regenerated. See [`ucp_telemetry::envelope`] and
 //! `ucp_core::run_suite_outcome`.
 
-pub mod cache;
 pub mod figs;
 pub mod harness;
 

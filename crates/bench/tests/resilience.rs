@@ -12,9 +12,9 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use ucp_bench::cache::{read_envelope, write_envelope};
 use ucp_bench::{suite_run_with_cache, SuiteRun, MODEL_VERSION};
 use ucp_core::{SimConfig, SuiteOptions};
+use ucp_telemetry::envelope::{read_envelope, write_envelope};
 use ucp_telemetry::FaultPlan;
 use ucp_workloads::WorkloadSpec;
 

@@ -114,11 +114,6 @@ impl Backend {
         out
     }
 
-    /// The completion cycle of the oldest unfinished µ-op (for watchdogs).
-    pub fn head_complete(&self) -> Option<u64> {
-        self.rob.front().map(|e| e.complete)
-    }
-
     /// Serializes the ROB and the register scoreboard.
     pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
         w.put_usize(self.rob.len());

@@ -34,7 +34,7 @@ use crate::stats::{paths, CondCounters, SimStats};
 use crate::ucp::UcpEngine;
 use backend::Backend;
 use sim_isa::{fnv1a64, Addr, BranchClass, DynInst, InstKind, StateReader, StateWriter};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 use ucp_bpred::{
@@ -306,12 +306,10 @@ pub struct Simulator<'p> {
     ideal_brcond_left: u32,
     demand_uop_banks: [bool; 2],
 
-    // Determinism: only ever accessed by key — HashMap iteration order
-    // must not influence simulation, and `save_state` serializes the
-    // entries sorted so it cannot leak into checkpoint bytes either.
-    records: HashMap<u64, PredRecord>,
-    rec_order: VecDeque<u64>,
-    next_rec_id: u64,
+    // In-flight branch records: slot `i` holds record `rec_base + i`, or
+    // `None` once it resolved or a flush freed it.
+    records: VecDeque<Option<PredRecord>>,
+    rec_base: u64,
 
     backend: Backend,
     resolve_q: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
@@ -427,9 +425,8 @@ impl<'p> Simulator<'p> {
             head_delivered: 0,
             ideal_brcond_left: 0,
             demand_uop_banks: [false; 2],
-            records: HashMap::with_capacity(1024),
-            rec_order: VecDeque::with_capacity(1024),
-            next_rec_id: 1,
+            records: VecDeque::with_capacity(1024),
+            rec_base: 1,
             backend: Backend::new(cfg.backend.clone()),
             resolve_q: BinaryHeap::new(),
             committed: 0,
@@ -728,12 +725,10 @@ impl<'p> Simulator<'p> {
     // ------------------------------------------------------------------
 
     fn process_resolutions(&mut self) {
-        // Lazily drop ids of records that resolved without a flush.
-        while let Some(&id) = self.rec_order.front() {
-            if self.records.contains_key(&id) {
-                break;
-            }
-            self.rec_order.pop_front();
+        // Lazily drop the freed slots at the old end of the ring.
+        while let Some(None) = self.records.front() {
+            self.records.pop_front();
+            self.rec_base += 1;
         }
         while let Some(&std::cmp::Reverse((t, id))) = self.resolve_q.peek() {
             if t > self.now {
@@ -745,7 +740,10 @@ impl<'p> Simulator<'p> {
     }
 
     fn resolve(&mut self, id: u64) {
-        let Some(rec) = self.records.remove(&id) else {
+        let slot = id
+            .checked_sub(self.rec_base)
+            .and_then(|i| self.records.get_mut(i as usize));
+        let Some(rec) = slot.and_then(Option::take) else {
             return; // already freed by an older flush
         };
         debug_assert!(rec.pos.is_some(), "wrong-path records never resolve");
@@ -844,15 +842,12 @@ impl<'p> Simulator<'p> {
                 transferred.then_some(rec.actual_next),
             );
         }
-        // Free every younger record (creation order is id order, so pop
-        // from the back until we reach the flushed record itself).
-        while let Some(&id) = self.rec_order.back() {
-            self.rec_order.pop_back();
-            self.records.remove(&id);
-            if id == rec_id {
-                break;
-            }
-        }
+        // Free every younger record. The slots stay, so ids are never
+        // reused and stale ids in `resolve_q` find nothing.
+        let first = (rec_id - self.rec_base) as usize;
+        self.records
+            .range_mut(first..)
+            .for_each(|slot| *slot = None);
         self.ftq.clear();
         self.uopq.clear();
         self.head_delivered = 0;
@@ -1278,10 +1273,8 @@ impl<'p> Simulator<'p> {
     }
 
     fn new_record(&mut self, rec: PredRecord) -> u64 {
-        let id = self.next_rec_id;
-        self.next_rec_id += 1;
-        self.records.insert(id, rec);
-        self.rec_order.push_back(id);
+        let id = self.rec_base + self.records.len() as u64;
+        self.records.push_back(Some(rec));
         id
     }
 
@@ -1713,11 +1706,6 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// The directory the armed checkpoint writer targets, if any.
-    pub fn checkpoint_dir(&self) -> Option<&std::path::Path> {
-        self.ckpt.as_ref().map(|s| s.dir.as_path())
-    }
-
     /// Writes a checkpoint if the armed cadence says one is due.
     fn maybe_checkpoint(&mut self) -> Result<(), SimError> {
         let Some(every) = self.ckpt.as_ref().map(|s| s.every) else {
@@ -1972,9 +1960,9 @@ impl<'p> Simulator<'p> {
     /// Serializes the complete mutable machine state, every component in
     /// declaration order. Geometry and configuration are never written —
     /// a restore target must be built from the same `SimConfig` and
-    /// workload (asserted where cheap). Container iteration is forced
-    /// into a deterministic order (records sorted by id, the resolution
-    /// heap sorted) so identical machines always produce identical bytes.
+    /// workload (asserted where cheap). The resolution heap is serialized
+    /// sorted, records in ring-slot order, so identical machines always
+    /// produce identical bytes.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.mark(0x5349_4d30);
         // Workload state: the oracle RNG and the materialized stream
@@ -2047,20 +2035,15 @@ impl<'p> Simulator<'p> {
         w.put_u32(self.consec_uop_hits);
         w.put_u8(self.head_delivered);
         w.put_u32(self.ideal_brcond_left);
-        // In-flight prediction records, sorted by id — HashMap iteration
-        // order must never leak into the checkpoint bytes.
-        let mut ids: Vec<u64> = self.records.keys().copied().collect();
-        ids.sort_unstable();
-        w.put_usize(ids.len());
-        for id in ids {
-            w.put_u64(id);
-            Self::save_record(w, &self.records[&id]);
+        // In-flight prediction records: the id of slot 0, then the slots.
+        w.put_u64(self.rec_base);
+        w.put_usize(self.records.len());
+        for slot in &self.records {
+            w.put_bool(slot.is_some());
+            if let Some(rec) = slot {
+                Self::save_record(w, rec);
+            }
         }
-        w.put_usize(self.rec_order.len());
-        for &id in &self.rec_order {
-            w.put_u64(id);
-        }
-        w.put_u64(self.next_rec_id);
         // Backend and the resolution calendar (heap iteration order is
         // arbitrary for equal keys; serialize sorted).
         self.backend.save_state(w);
@@ -2207,19 +2190,13 @@ impl<'p> Simulator<'p> {
         self.consec_uop_hits = r.get_u32();
         self.head_delivered = r.get_u8();
         self.ideal_brcond_left = r.get_u32();
+        self.rec_base = r.get_u64();
         let n = r.get_usize();
         self.records.clear();
         for _ in 0..n {
-            let id = r.get_u64();
-            let rec = Self::load_record(r);
-            self.records.insert(id, rec);
+            let slot = r.get_bool().then(|| Self::load_record(r));
+            self.records.push_back(slot);
         }
-        let n = r.get_usize();
-        self.rec_order.clear();
-        for _ in 0..n {
-            self.rec_order.push_back(r.get_u64());
-        }
-        self.next_rec_id = r.get_u64();
         self.backend.restore_state(r);
         let n = r.get_usize();
         self.resolve_q.clear();

@@ -68,47 +68,53 @@ fn resumed_run(spec: &WorkloadSpec, cfg: &SimConfig, policy: CheckpointPolicy) -
 
 #[test]
 fn resume_from_checkpoint_is_bit_identical_across_seeds() {
-    let cfg = SimConfig::baseline();
-    for seed in [1u64, 2, 3] {
-        let spec = WorkloadSpec::tiny(&format!("ckpt-id-s{seed}"), seed);
-        let dir = run_dir(&spec, &cfg);
-        remove_run_checkpoints(&dir);
+    // UCP also round-trips each record's alternate-path checkpoints and
+    // predictions through the serialized state.
+    for (name, cfg) in [
+        ("baseline", SimConfig::baseline()),
+        ("ucp", SimConfig::ucp()),
+    ] {
+        for seed in [1u64, 2, 3] {
+            let spec = WorkloadSpec::tiny(&format!("ckpt-id-{name}-s{seed}"), seed);
+            let dir = run_dir(&spec, &cfg);
+            remove_run_checkpoints(&dir);
 
-        let reference = reference_run(&spec, &cfg);
-        let policy = CheckpointPolicy {
-            every: 6_000,
-            keep: 2,
-        };
-        crashed_run(&spec, &cfg, policy, None);
-        assert!(
-            latest_valid_checkpoint(&dir).is_some(),
-            "crash left checkpoints behind (seed {seed})"
-        );
+            let reference = reference_run(&spec, &cfg);
+            let policy = CheckpointPolicy {
+                every: 6_000,
+                keep: 2,
+            };
+            crashed_run(&spec, &cfg, policy, None);
+            assert!(
+                latest_valid_checkpoint(&dir).is_some(),
+                "crash left checkpoints behind ({name}, seed {seed})"
+            );
 
-        let (resumed, out) = resumed_run(&spec, &cfg, policy);
-        assert!(
-            resumed >= policy.every,
-            "resumed mid-run, not from cycle zero (seed {seed}, resumed at {resumed})"
-        );
-        assert_eq!(
-            json(&out.stats),
-            json(&reference.stats),
-            "stats bit-identical (seed {seed})"
-        );
-        assert_eq!(
-            json(&out.intervals),
-            json(&reference.intervals),
-            "interval series bit-identical (seed {seed})"
-        );
-        assert_eq!(
-            out.telemetry, reference.telemetry,
-            "telemetry bit-identical (seed {seed})"
-        );
-        assert_eq!(
-            out.digests, reference.digests,
-            "digest stream bit-identical (seed {seed})"
-        );
-        assert!(!dir.exists(), "completed run removed its checkpoints");
+            let (resumed, out) = resumed_run(&spec, &cfg, policy);
+            assert!(
+                resumed >= policy.every,
+                "resumed mid-run, not from cycle zero ({name}, seed {seed}, resumed at {resumed})"
+            );
+            assert_eq!(
+                json(&out.stats),
+                json(&reference.stats),
+                "stats bit-identical ({name}, seed {seed})"
+            );
+            assert_eq!(
+                json(&out.intervals),
+                json(&reference.intervals),
+                "interval series bit-identical ({name}, seed {seed})"
+            );
+            assert_eq!(
+                out.telemetry, reference.telemetry,
+                "telemetry bit-identical ({name}, seed {seed})"
+            );
+            assert_eq!(
+                out.digests, reference.digests,
+                "digest stream bit-identical ({name}, seed {seed})"
+            );
+            assert!(!dir.exists(), "completed run removed its checkpoints");
+        }
     }
 }
 

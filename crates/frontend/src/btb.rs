@@ -76,8 +76,6 @@ pub struct Btb {
     sets: usize,
     slots: Vec<Slot>,
     stamp: u64,
-    lookups: u64,
-    hits: u64,
 }
 
 impl Btb {
@@ -95,8 +93,6 @@ impl Btb {
             sets,
             slots: vec![Slot::default(); cfg.total_entries],
             stamp: 0,
-            lookups: 0,
-            hits: 0,
             cfg,
         }
     }
@@ -122,9 +118,8 @@ impl Btb {
         ((pc.raw() >> 2) as usize) % self.cfg.banks
     }
 
-    /// Looks up `pc`, updating LRU and statistics.
+    /// Looks up `pc`, updating LRU.
     pub fn lookup(&mut self, pc: Addr) -> Option<BtbEntry> {
-        self.lookups += 1;
         self.stamp += 1;
         let set = self.set_of(pc);
         let tag = self.tag_of(pc);
@@ -132,7 +127,6 @@ impl Btb {
         for s in &mut self.slots[base..base + self.cfg.ways] {
             if s.valid && s.tag == tag {
                 s.lru = self.stamp;
-                self.hits += 1;
                 return Some(BtbEntry {
                     target: s.target,
                     class: s.class,
@@ -142,7 +136,7 @@ impl Btb {
         None
     }
 
-    /// Presence/content check without LRU or statistics effects.
+    /// Presence/content check without LRU effects.
     pub fn probe(&self, pc: Addr) -> Option<BtbEntry> {
         let set = self.set_of(pc);
         let tag = self.tag_of(pc);
@@ -185,22 +179,13 @@ impl Btb {
         };
     }
 
-    /// Demand hit rate so far.
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            1.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-
     /// Storage in bits: tag(16) + target(32, compressed) + class(3) +
     /// valid(1) + LRU(2) per entry.
     pub fn storage_bits(&self) -> u64 {
         self.cfg.total_entries as u64 * 54
     }
 
-    /// Serializes the mutable state (slots, LRU stamp, hit statistics).
+    /// Serializes the mutable state (slots and LRU stamp).
     pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
         w.put_usize(self.slots.len());
         for s in &self.slots {
@@ -211,8 +196,6 @@ impl Btb {
             w.put_u64(s.lru);
         }
         w.put_u64(self.stamp);
-        w.put_u64(self.lookups);
-        w.put_u64(self.hits);
     }
 
     /// Restores state written by [`Btb::save_state`].
@@ -227,8 +210,6 @@ impl Btb {
             s.lru = r.get_u64();
         }
         self.stamp = r.get_u64();
-        self.lookups = r.get_u64();
-        self.hits = r.get_u64();
     }
 }
 
@@ -293,12 +274,17 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_tracks() {
+    fn lookup_hits_only_inserted_pcs() {
         let mut b = small();
         b.insert(Addr::new(0x40), Addr::new(0x80), BranchClass::Call);
-        let _ = b.lookup(Addr::new(0x40));
-        let _ = b.lookup(Addr::new(0x44));
-        assert!((b.hit_rate() - 0.5).abs() < 1e-9);
+        assert_eq!(
+            b.lookup(Addr::new(0x40)),
+            Some(BtbEntry {
+                target: Addr::new(0x80),
+                class: BranchClass::Call
+            })
+        );
+        assert_eq!(b.lookup(Addr::new(0x44)), None);
     }
 
     #[test]

@@ -51,33 +51,6 @@ impl Deserialize for CacheConfig {
     }
 }
 
-/// Hit/miss/fill counters for one cache level.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Demand hits.
-    pub hits: u64,
-    /// Demand misses.
-    pub misses: u64,
-    /// Lines filled (demand + prefetch).
-    pub fills: u64,
-    /// Fills triggered by prefetches.
-    pub prefetch_fills: u64,
-    /// Demand hits on lines brought in by a prefetch (useful prefetches).
-    pub prefetch_useful: u64,
-}
-
-impl CacheStats {
-    /// Demand hit rate in `[0, 1]`; 1 when there were no accesses.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Clone, Copy, Debug, Default)]
 struct Line {
     tag: u64,
@@ -87,8 +60,6 @@ struct Line {
     /// Cycle at which the fill completes; hits before this merge with the
     /// outstanding fill.
     ready: u64,
-    /// The line was filled by a prefetch and not yet demanded.
-    prefetched: bool,
 }
 
 /// A set-associative, LRU, 64 B-line cache.
@@ -100,7 +71,6 @@ pub struct SetAssocCache {
     cfg: CacheConfig,
     lines: Vec<Line>,
     stamp: u64,
-    stats: CacheStats,
 }
 
 /// Result of a cache lookup.
@@ -133,18 +103,12 @@ impl SetAssocCache {
             cfg,
             lines: vec![Line::default(); n],
             stamp: 0,
-            stats: CacheStats::default(),
         }
     }
 
     /// The configuration this cache was built with.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
     }
 
     #[inline]
@@ -155,7 +119,7 @@ impl SetAssocCache {
         (&mut self.lines[base..base + self.cfg.ways], line)
     }
 
-    /// Checks presence without touching LRU or statistics (tag probe).
+    /// Checks presence without touching LRU (tag probe).
     pub fn probe(&self, addr: Addr) -> bool {
         let line = addr.raw() >> 6;
         let set = (line as usize) & (self.cfg.sets - 1);
@@ -165,7 +129,7 @@ impl SetAssocCache {
             .any(|l| l.valid && l.tag == line)
     }
 
-    /// Demand lookup at cycle `now`: updates LRU and statistics.
+    /// Demand lookup at cycle `now`: updates LRU.
     pub fn lookup(&mut self, addr: Addr, now: u64) -> LookupResult {
         self.stamp += 1;
         let stamp = self.stamp;
@@ -174,22 +138,16 @@ impl SetAssocCache {
         for l in ways.iter_mut() {
             if l.valid && l.tag == line {
                 l.lru = stamp;
-                let was_prefetched = std::mem::take(&mut l.prefetched);
                 let ready = l.ready.max(now) + latency;
-                self.stats.hits += 1;
-                if was_prefetched {
-                    self.stats.prefetch_useful += 1;
-                }
                 return LookupResult::Hit { ready };
             }
         }
-        self.stats.misses += 1;
         LookupResult::Miss
     }
 
     /// Installs a line whose fill completes at `ready`. Returns the evicted
     /// line address, if a valid line was displaced.
-    pub fn fill(&mut self, addr: Addr, ready: u64, prefetch: bool) -> Option<Addr> {
+    pub fn fill(&mut self, addr: Addr, ready: u64) -> Option<Addr> {
         self.stamp += 1;
         let stamp = self.stamp;
         let (ways, line) = self.set_ways(addr);
@@ -209,12 +167,7 @@ impl SetAssocCache {
             valid: true,
             lru: stamp,
             ready,
-            prefetched: prefetch,
         };
-        self.stats.fills += 1;
-        if prefetch {
-            self.stats.prefetch_fills += 1;
-        }
         evicted
     }
 
@@ -235,7 +188,7 @@ impl SetAssocCache {
         self.lines.iter().filter(|l| l.valid).count()
     }
 
-    /// Serializes the mutable state (lines, LRU stamp, statistics).
+    /// Serializes the mutable state (lines and LRU stamp).
     pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
         w.put_usize(self.lines.len());
         for l in &self.lines {
@@ -243,14 +196,8 @@ impl SetAssocCache {
             w.put_bool(l.valid);
             w.put_u64(l.lru);
             w.put_u64(l.ready);
-            w.put_bool(l.prefetched);
         }
         w.put_u64(self.stamp);
-        w.put_u64(self.stats.hits);
-        w.put_u64(self.stats.misses);
-        w.put_u64(self.stats.fills);
-        w.put_u64(self.stats.prefetch_fills);
-        w.put_u64(self.stats.prefetch_useful);
     }
 
     /// Restores state written by [`SetAssocCache::save_state`].
@@ -262,14 +209,8 @@ impl SetAssocCache {
             l.valid = r.get_bool();
             l.lru = r.get_u64();
             l.ready = r.get_u64();
-            l.prefetched = r.get_bool();
         }
         self.stamp = r.get_u64();
-        self.stats.hits = r.get_u64();
-        self.stats.misses = r.get_u64();
-        self.stats.fills = r.get_u64();
-        self.stats.prefetch_fills = r.get_u64();
-        self.stats.prefetch_useful = r.get_u64();
     }
 }
 
@@ -291,7 +232,7 @@ mod tests {
         let mut c = tiny();
         let a = Addr::new(0x1000);
         assert_eq!(c.lookup(a, 0), LookupResult::Miss);
-        c.fill(a, 10, false);
+        c.fill(a, 10);
         match c.lookup(a, 20) {
             LookupResult::Hit { ready } => assert_eq!(ready, 23),
             other => panic!("{other:?}"),
@@ -302,7 +243,7 @@ mod tests {
     fn hit_under_fill_merges() {
         let mut c = tiny();
         let a = Addr::new(0x40);
-        c.fill(a, 100, false);
+        c.fill(a, 100);
         match c.lookup(a, 5) {
             LookupResult::Hit { ready } => assert_eq!(ready, 103, "waits for the fill"),
             other => panic!("{other:?}"),
@@ -316,52 +257,42 @@ mod tests {
         let a = Addr::new(0x000);
         let b = Addr::new(0x100);
         let d = Addr::new(0x200);
-        c.fill(a, 0, false);
-        c.fill(b, 0, false);
+        c.fill(a, 0);
+        c.fill(b, 0);
         c.lookup(a, 1); // a most recent
-        let evicted = c.fill(d, 2, false);
+        let evicted = c.fill(d, 2);
         assert_eq!(evicted, Some(b));
         assert!(c.probe(a));
         assert!(!c.probe(b));
     }
 
     #[test]
-    fn probe_does_not_disturb_lru_or_stats() {
+    fn probe_does_not_disturb_lru() {
         let mut c = tiny();
-        let a = Addr::new(0x80);
-        c.fill(a, 0, false);
-        let before = *c.stats();
+        // Same set; `a` is filled first, so it is the LRU victim.
+        let a = Addr::new(0x000);
+        let b = Addr::new(0x100);
+        c.fill(a, 0);
+        c.fill(b, 0);
         assert!(c.probe(a));
-        assert!(!c.probe(Addr::new(0xfc0)));
-        assert_eq!(*c.stats(), before);
+        assert!(!c.probe(Addr::new(0x200)));
+        // A lookup would have made `a` most recent; a probe must not.
+        assert_eq!(c.fill(Addr::new(0x200), 1), Some(a));
     }
 
     #[test]
     fn same_line_offsets_alias() {
         let mut c = tiny();
-        c.fill(Addr::new(0x1000), 0, false);
+        c.fill(Addr::new(0x1000), 0);
         assert!(c.probe(Addr::new(0x103f)));
         assert!(!c.probe(Addr::new(0x1040)));
-    }
-
-    #[test]
-    fn prefetch_usefulness_tracked() {
-        let mut c = tiny();
-        let a = Addr::new(0x40);
-        c.fill(a, 0, true);
-        assert_eq!(c.stats().prefetch_fills, 1);
-        c.lookup(a, 1);
-        assert_eq!(c.stats().prefetch_useful, 1);
-        // Second hit no longer counts as prefetch-useful.
-        c.lookup(a, 2);
-        assert_eq!(c.stats().prefetch_useful, 1);
     }
 
     #[test]
     fn invalidate_removes() {
         let mut c = tiny();
         let a = Addr::new(0x40);
-        c.fill(a, 0, false);
+        c.fill(a, 0);
         assert!(c.invalidate(a));
         assert!(!c.probe(a));
         assert!(!c.invalidate(a));
@@ -371,23 +302,13 @@ mod tests {
     fn duplicate_fill_keeps_single_copy() {
         let mut c = tiny();
         let a = Addr::new(0x40);
-        c.fill(a, 10, false);
-        c.fill(a, 5, false);
+        c.fill(a, 10);
+        c.fill(a, 5);
         assert_eq!(c.occupancy(), 1);
         match c.lookup(a, 0) {
             LookupResult::Hit { ready } => assert_eq!(ready, 8, "earlier fill wins"),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn hit_rate_math() {
-        let mut c = tiny();
-        let a = Addr::new(0x40);
-        c.lookup(a, 0);
-        c.fill(a, 0, false);
-        c.lookup(a, 1);
-        assert!((c.stats().hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

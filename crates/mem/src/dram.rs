@@ -40,8 +40,6 @@ pub struct Dram {
     cfg: DramConfig,
     /// Per-bank (busy_until_cycle, open_row).
     banks: Vec<(u64, u64)>,
-    accesses: u64,
-    row_hits: u64,
 }
 
 impl Dram {
@@ -56,8 +54,6 @@ impl Dram {
         Dram {
             cfg: cfg.clone(),
             banks: vec![(0, u64::MAX); n],
-            accesses: 0,
-            row_hits: 0,
         }
     }
 
@@ -72,12 +68,10 @@ impl Dram {
         let (busy_until, open_row) = self.banks[bank];
         let start = now.max(busy_until);
         let lat = if open_row == row {
-            self.row_hits += 1;
             self.cfg.t_cas
         } else {
             self.cfg.t_rp + self.cfg.t_rcd + self.cfg.t_cas
         };
-        self.accesses += 1;
         let done = start + lat;
         // The bank is occupied for the data-burst duration (a few cycles);
         // use tCAS/4 as the burst occupancy.
@@ -85,29 +79,13 @@ impl Dram {
         done
     }
 
-    /// Total accesses served.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Fraction of accesses that hit an open row.
-    pub fn row_hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / self.accesses as f64
-        }
-    }
-
-    /// Serializes the mutable state (bank busy/open-row, access counters).
+    /// Serializes the mutable state (bank busy/open-row).
     pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
         w.put_usize(self.banks.len());
         for &(busy, row) in &self.banks {
             w.put_u64(busy);
             w.put_u64(row);
         }
-        w.put_u64(self.accesses);
-        w.put_u64(self.row_hits);
     }
 
     /// Restores state written by [`Dram::save_state`].
@@ -118,8 +96,6 @@ impl Dram {
             b.0 = r.get_u64();
             b.1 = r.get_u64();
         }
-        self.accesses = r.get_u64();
-        self.row_hits = r.get_u64();
     }
 }
 
@@ -146,7 +122,6 @@ mod tests {
         // Same line again: row is open now.
         let second = d.access(a, first);
         assert_eq!(second - first, 50, "row hit pays only tCAS");
-        assert!(d.row_hit_rate() > 0.0);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod hierarchy;
 pub mod mshr;
 pub mod tlb;
 
-pub use cache::{CacheConfig, CacheStats, SetAssocCache};
+pub use cache::{CacheConfig, SetAssocCache};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{
     Access, Hierarchy, HierarchyConfig, HitLevel, MshrFull, L1I_DEMAND_LOOKUPS_PATH,

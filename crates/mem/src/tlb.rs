@@ -84,12 +84,7 @@ impl Tlb {
 
     /// Installs the translation for the page of `addr`.
     pub fn fill(&mut self, addr: Addr) {
-        self.inner.fill(Self::page_key(addr), 0, false);
-    }
-
-    /// Demand hit rate so far.
-    pub fn hit_rate(&self) -> f64 {
-        self.inner.stats().hit_rate()
+        self.inner.fill(Self::page_key(addr), 0);
     }
 
     /// Serializes the mutable state (delegates to the inner cache).

@@ -28,8 +28,6 @@ pub struct Mrc {
     stamp: u64,
     /// Entry currently being filled by the retiring corrected path.
     filling: Option<usize>,
-    lookups: u64,
-    hits: u64,
 }
 
 impl Mrc {
@@ -53,8 +51,6 @@ impl Mrc {
             ],
             stamp: 0,
             filling: None,
-            lookups: 0,
-            hits: 0,
         }
     }
 
@@ -76,12 +72,10 @@ impl Mrc {
     /// Looks up a corrected branch target on a misprediction. On a hit,
     /// returns how many µ-ops the entry can stream.
     pub fn lookup(&mut self, corrected_target: Addr) -> Option<u32> {
-        self.lookups += 1;
         self.stamp += 1;
         for s in &mut self.slots {
             if s.valid && s.tag == corrected_target {
                 s.lru = self.stamp;
-                self.hits += 1;
                 return Some(u32::from(s.filled));
             }
         }
@@ -133,15 +127,6 @@ impl Mrc {
         }
     }
 
-    /// Hit rate over misprediction lookups.
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-
     /// Storage in bits.
     pub fn storage_bits(&self) -> u64 {
         self.slots.len() as u64 * Self::bits_per_entry()
@@ -152,7 +137,7 @@ impl Mrc {
         self.storage_bits() as f64 / 8192.0
     }
 
-    /// Serializes the mutable state (slots, fill pointer, statistics).
+    /// Serializes the mutable state (slots and fill pointer).
     pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
         w.put_usize(self.slots.len());
         for s in &self.slots {
@@ -164,8 +149,6 @@ impl Mrc {
         w.put_u64(self.stamp);
         w.put_bool(self.filling.is_some());
         w.put_usize(self.filling.unwrap_or(0));
-        w.put_u64(self.lookups);
-        w.put_u64(self.hits);
     }
 
     /// Restores state written by [`Mrc::save_state`].
@@ -182,8 +165,6 @@ impl Mrc {
         let has_filling = r.get_bool();
         let filling = r.get_usize();
         self.filling = has_filling.then_some(filling);
-        self.lookups = r.get_u64();
-        self.hits = r.get_u64();
     }
 }
 
@@ -234,11 +215,14 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_tracks() {
+    fn lookup_hits_only_allocated_targets() {
         let mut m = Mrc::new(2);
         m.allocate(Addr::new(0x10));
-        let _ = m.lookup(Addr::new(0x10));
-        let _ = m.lookup(Addr::new(0x20));
-        assert!((m.hit_rate() - 0.5).abs() < 1e-9);
+        assert_eq!(
+            m.lookup(Addr::new(0x10)),
+            Some(0),
+            "allocated, nothing filled yet"
+        );
+        assert_eq!(m.lookup(Addr::new(0x20)), None);
     }
 }

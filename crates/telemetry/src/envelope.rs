@@ -1,10 +1,8 @@
 //! On-disk integrity envelopes: checksummed headers, atomic writes, and
 //! quarantine for corrupt entries.
 //!
-//! This lived in `ucp-bench::cache` when only the result cache needed it
-//! (PR 3); it moved here so the checkpoint writer in `ucp-core::snapshot`
-//! can reuse the exact same machinery — `ucp-bench` re-exports it from
-//! its old path. Entries are written as an *envelope*:
+//! Both the result cache in `ucp-bench` and the checkpoint writer in
+//! `ucp-core::snapshot` use it. Entries are written as an *envelope*:
 //!
 //! ```text
 //! {"schema":1,"model_version":3,"checksum":"<fnv1a hex>","len":<bytes>}\n
