@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use ucp_core::snapshot::{ckpt_root, latest_valid_checkpoint, remove_run_checkpoints, run_slug};
-use ucp_core::{replay_verify, CheckpointPolicy, RunOutput, SimConfig, Simulator};
+use ucp_core::{replay_verify, CheckpointPolicy, PrefetcherKind, RunOutput, SimConfig, Simulator};
 use ucp_telemetry::fault::FaultPlan;
 use ucp_workloads::WorkloadSpec;
 
@@ -66,15 +66,49 @@ fn resumed_run(spec: &WorkloadSpec, cfg: &SimConfig, policy: CheckpointPolicy) -
     (resumed, out)
 }
 
+/// Every configuration whose component state goes through the
+/// checkpoint codec: baseline and UCP over three seeds, every other
+/// stateful variant (µ-op cache off, Alt-Ind off, L1I-only walks, the
+/// MRC and each standalone prefetcher) over one.
+fn resume_matrix() -> Vec<(String, SimConfig, Vec<u64>)> {
+    let mut till_l1i = SimConfig::ucp();
+    till_l1i.ucp.till_l1i = true;
+    let mut mrc = SimConfig::baseline();
+    mrc.mrc_entries = Some(256);
+    let mut m = vec![
+        (
+            "baseline".to_string(),
+            SimConfig::baseline(),
+            vec![1u64, 2, 3],
+        ),
+        ("ucp".to_string(), SimConfig::ucp(), vec![1, 2, 3]),
+        (
+            "no_uop_cache".to_string(),
+            SimConfig::no_uop_cache(),
+            vec![4],
+        ),
+        ("no_ind".to_string(), SimConfig::ucp_no_ind(), vec![5]),
+        ("till_l1i".to_string(), till_l1i, vec![6]),
+        ("mrc".to_string(), mrc, vec![7]),
+    ];
+    for (i, kind) in PrefetcherKind::ALL.into_iter().skip(1).enumerate() {
+        let mut cfg = SimConfig::baseline();
+        cfg.prefetcher = kind;
+        m.push((
+            kind.name().to_lowercase().replace('+', "p"),
+            cfg,
+            vec![8 + i as u64],
+        ));
+    }
+    m
+}
+
 #[test]
 fn resume_from_checkpoint_is_bit_identical_across_seeds() {
     // UCP also round-trips each record's alternate-path checkpoints and
     // predictions through the serialized state.
-    for (name, cfg) in [
-        ("baseline", SimConfig::baseline()),
-        ("ucp", SimConfig::ucp()),
-    ] {
-        for seed in [1u64, 2, 3] {
+    for (name, cfg, seeds) in resume_matrix() {
+        for seed in seeds {
             let spec = WorkloadSpec::tiny(&format!("ckpt-id-{name}-s{seed}"), seed);
             let dir = run_dir(&spec, &cfg);
             remove_run_checkpoints(&dir);
