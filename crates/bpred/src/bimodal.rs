@@ -66,21 +66,9 @@ impl Bimodal {
         self.ctrs.len() as u64 * 2
     }
 
-    /// Serializes the counter table (checkpoint path).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.ctrs.len());
-        for &c in &self.ctrs {
-            w.put_i8(c);
-        }
-    }
-
-    /// Restores counters written by [`Bimodal::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.ctrs.len(), "bimodal geometry mismatch");
-        for c in &mut self.ctrs {
-            *c = r.get_i8();
-        }
+    /// Checkpoint layout: the counter table.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.table(&mut self.ctrs, "bimodal geometry", |io, c| io.v(c));
     }
 }
 

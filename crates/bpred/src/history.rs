@@ -211,60 +211,26 @@ impl HistoryState {
     }
 }
 
-impl HistCheckpoint {
-    /// Serializes the checkpoint (whole-simulation checkpoint path; the
-    /// pipeline keeps checkpoints inside in-flight branch records).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_u64(self.ptr);
-        w.put_u8(self.n);
-        for c in self.comps {
-            w.put_u32(c);
-        }
-    }
-
-    /// Decodes a checkpoint written by [`HistCheckpoint::save_state`].
-    pub fn load_state(r: &mut sim_isa::StateReader) -> Self {
-        let ptr = r.get_u64();
-        let n = r.get_u8();
-        let mut comps = [0u32; MAX_FOLDS];
-        for c in &mut comps {
-            *c = r.get_u32();
-        }
-        HistCheckpoint { ptr, n, comps }
+/// Checkpoint layout of a checkpoint held by an in-flight branch record.
+impl sim_isa::Field for HistCheckpoint {
+    fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.v(&mut self.ptr);
+        io.v(&mut self.n);
+        io.each(&mut self.comps);
     }
 }
 
 impl HistoryState {
-    /// Serializes the mutable state (bit buffer, write pointer, folded
-    /// registers). Geometry (fold specs) is not written: a restore target
-    /// must be constructed with the same specs, which the fold-count
-    /// assertion below cross-checks.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_u64(self.ptr);
-        w.put_usize(self.bits.len());
-        for &word in &self.bits {
-            w.put_u64(word);
-        }
-        w.put_usize(self.folds.len());
-        for f in &self.folds {
-            w.put_u32(f.comp);
-        }
-    }
-
-    /// Restores state written by [`HistoryState::save_state`] into a
-    /// same-geometry history.
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        self.ptr = r.get_u64();
-        let nb = r.get_usize();
-        assert_eq!(nb, self.bits.len(), "history buffer geometry mismatch");
-        for word in &mut self.bits {
-            *word = r.get_u64();
-        }
-        let nf = r.get_usize();
-        assert_eq!(nf, self.folds.len(), "history fold-count mismatch");
-        for f in &mut self.folds {
-            f.comp = r.get_u32();
-        }
+    /// Checkpoint layout: write pointer, bit buffer, folded registers.
+    /// Geometry (fold specs) is not written: a load target must be
+    /// constructed with the same specs, which the fold-count check below
+    /// cross-checks.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.v(&mut self.ptr);
+        io.table(&mut self.bits, "history buffer geometry", |io, w| io.v(w));
+        io.table(&mut self.folds, "history fold-count", |io, f| {
+            io.v(&mut f.comp)
+        });
     }
 }
 

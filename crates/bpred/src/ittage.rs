@@ -82,7 +82,7 @@ struct BaseEntry {
 }
 
 /// One ITTAGE prediction, kept for the update.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct IttagePrediction {
     /// Predicted target, if any component has one.
     pub target: Option<Addr>,
@@ -305,96 +305,35 @@ impl Ittage {
         self.storage_bits() as f64 / 8192.0
     }
 
-    /// Serializes the mutable state (tagged tables, base table, allocator
-    /// LFSR, update counter).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.tables.len());
-        for t in &self.tables {
-            w.put_usize(t.len());
-            for e in t {
-                w.put_u16(e.tag);
-                w.put_addr(e.target);
-                w.put_u8(e.ctr);
-                w.put_u8(e.u);
-            }
-        }
-        w.put_usize(self.base.len());
-        for b in &self.base {
-            w.put_addr(b.target);
-            w.put_u8(b.ctr);
-        }
-        w.put_u32(self.lfsr);
-        w.put_u64(self.updates);
-    }
-
-    /// Restores state written by [`Ittage::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let nt = r.get_usize();
-        assert_eq!(nt, self.tables.len(), "ITTAGE table-count mismatch");
-        for t in &mut self.tables {
-            let ne = r.get_usize();
-            assert_eq!(ne, t.len(), "ITTAGE table geometry mismatch");
-            for e in t.iter_mut() {
-                e.tag = r.get_u16();
-                e.target = r.get_addr();
-                e.ctr = r.get_u8();
-                e.u = r.get_u8();
-            }
-        }
-        let nb = r.get_usize();
-        assert_eq!(nb, self.base.len(), "ITTAGE base geometry mismatch");
-        for b in &mut self.base {
-            b.target = r.get_addr();
-            b.ctr = r.get_u8();
-        }
-        self.lfsr = r.get_u32();
-        self.updates = r.get_u64();
+    /// Checkpoint layout: tagged tables, base table, allocator LFSR,
+    /// update counter.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.table(&mut self.tables, "ITTAGE table-count", |io, t| {
+            io.table(t, "ITTAGE table geometry", |io, e| {
+                io.v(&mut e.tag);
+                io.v(&mut e.target);
+                io.v(&mut e.ctr);
+                io.v(&mut e.u);
+            });
+        });
+        io.table(&mut self.base, "ITTAGE base geometry", |io, b| {
+            io.v(&mut b.target);
+            io.v(&mut b.ctr);
+        });
+        io.v(&mut self.lfsr);
+        io.v(&mut self.updates);
     }
 }
 
-impl IttagePrediction {
-    /// Serializes a prediction held by an in-flight branch record.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        match self.target {
-            Some(t) => {
-                w.put_bool(true);
-                w.put_addr(t);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_i8(self.provider);
-        w.put_u8(self.ctr);
-        for i in self.indices {
-            w.put_u16(i);
-        }
-        for t in self.tags {
-            w.put_u16(t);
-        }
-        w.put_u32(self.base_idx);
-    }
-
-    /// Decodes a prediction written by [`IttagePrediction::save_state`].
-    pub fn load_state(r: &mut sim_isa::StateReader) -> Self {
-        let target = r.get_bool().then(|| r.get_addr());
-        let provider = r.get_i8();
-        let ctr = r.get_u8();
-        let mut indices = [0u16; MAX_ITT_TABLES];
-        for i in &mut indices {
-            *i = r.get_u16();
-        }
-        let mut tags = [0u16; MAX_ITT_TABLES];
-        for t in &mut tags {
-            *t = r.get_u16();
-        }
-        let base_idx = r.get_u32();
-        IttagePrediction {
-            target,
-            provider,
-            ctr,
-            indices,
-            tags,
-            base_idx,
-        }
+/// Checkpoint layout of a prediction held by an in-flight branch record.
+impl sim_isa::Field for IttagePrediction {
+    fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.v(&mut self.target);
+        io.v(&mut self.provider);
+        io.v(&mut self.ctr);
+        io.each(&mut self.indices);
+        io.each(&mut self.tags);
+        io.v(&mut self.base_idx);
     }
 }
 

@@ -68,7 +68,7 @@ impl ScParams {
 }
 
 /// One SC decision, kept by the pipeline for the update.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ScPrediction {
     /// Signed sum of the adder tree (TAGE-biased); the paper's Fig. 6b
     /// buckets its absolute value.
@@ -201,74 +201,25 @@ impl Sc {
 }
 
 impl Sc {
-    /// Serializes the mutable state (GEHL tables, bias table, dynamic
-    /// threshold).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.tables.len());
-        for t in &self.tables {
-            w.put_usize(t.len());
-            for &c in t {
-                w.put_i8(c);
-            }
-        }
-        w.put_usize(self.bias.len());
-        for &b in &self.bias {
-            w.put_i8(b);
-        }
-        w.put_i32(self.thr);
-        w.put_i8(self.tc);
-    }
-
-    /// Restores state written by [`Sc::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let nt = r.get_usize();
-        assert_eq!(nt, self.tables.len(), "SC table-count mismatch");
-        for t in &mut self.tables {
-            let ne = r.get_usize();
-            assert_eq!(ne, t.len(), "SC table geometry mismatch");
-            for c in t.iter_mut() {
-                *c = r.get_i8();
-            }
-        }
-        let nb = r.get_usize();
-        assert_eq!(nb, self.bias.len(), "SC bias geometry mismatch");
-        for b in &mut self.bias {
-            *b = r.get_i8();
-        }
-        self.thr = r.get_i32();
-        self.tc = r.get_i8();
+    /// Checkpoint layout: GEHL tables, bias table, dynamic threshold.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.table(&mut self.tables, "SC table-count", |io, t| {
+            io.table(t, "SC table geometry", |io, c| io.v(c));
+        });
+        io.table(&mut self.bias, "SC bias geometry", |io, b| io.v(b));
+        io.v(&mut self.thr);
+        io.v(&mut self.tc);
     }
 }
 
-impl ScPrediction {
-    /// Serializes a prediction held by an in-flight branch record.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_i32(self.sum);
-        w.put_bool(self.taken);
-        w.put_bool(self.used);
-        for i in self.indices {
-            w.put_u16(i);
-        }
-        w.put_u32(self.bias_idx);
-    }
-
-    /// Decodes a prediction written by [`ScPrediction::save_state`].
-    pub fn load_state(r: &mut sim_isa::StateReader) -> Self {
-        let sum = r.get_i32();
-        let taken = r.get_bool();
-        let used = r.get_bool();
-        let mut indices = [0u16; MAX_SC_TABLES];
-        for i in &mut indices {
-            *i = r.get_u16();
-        }
-        let bias_idx = r.get_u32();
-        ScPrediction {
-            sum,
-            taken,
-            used,
-            indices,
-            bias_idx,
-        }
+/// Checkpoint layout of a prediction held by an in-flight branch record.
+impl sim_isa::Field for ScPrediction {
+    fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.v(&mut self.sum);
+        io.v(&mut self.taken);
+        io.v(&mut self.used);
+        io.each(&mut self.indices);
+        io.v(&mut self.bias_idx);
     }
 }
 

@@ -102,9 +102,10 @@ struct TageEntry {
 }
 
 /// Which component of TAGE provided the final direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TageProvider {
     /// No tagged match (or the alternate fell through to bimodal).
+    #[default]
     Bimodal,
     /// Longest tag match provided the prediction.
     Hit,
@@ -114,7 +115,7 @@ pub enum TageProvider {
 
 /// Everything about one TAGE prediction, kept by the pipeline and passed
 /// back to [`Tage::update`] at branch resolution.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TagePrediction {
     /// Final predicted direction.
     pub taken: bool,
@@ -391,110 +392,44 @@ impl Tage {
 }
 
 impl Tage {
-    /// Serializes the mutable state (tables, bimodal, allocator LFSR,
-    /// update counter). Geometry is reconstructed from params, not stored.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        self.bimodal.save_state(w);
-        w.put_usize(self.tables.len());
-        for t in &self.tables {
-            w.put_usize(t.len());
-            for e in t {
-                w.put_i8(e.ctr);
-                w.put_u16(e.tag);
-                w.put_u8(e.u);
-                w.put_bool(e.valid);
-            }
-        }
-        w.put_i8(self.use_alt_on_na);
-        w.put_u32(self.lfsr);
-        w.put_u64(self.updates);
-    }
-
-    /// Restores state written by [`Tage::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        self.bimodal.restore_state(r);
-        let nt = r.get_usize();
-        assert_eq!(nt, self.tables.len(), "TAGE table-count mismatch");
-        for t in &mut self.tables {
-            let ne = r.get_usize();
-            assert_eq!(ne, t.len(), "TAGE table geometry mismatch");
-            for e in t.iter_mut() {
-                e.ctr = r.get_i8();
-                e.tag = r.get_u16();
-                e.u = r.get_u8();
-                e.valid = r.get_bool();
-            }
-        }
-        self.use_alt_on_na = r.get_i8();
-        self.lfsr = r.get_u32();
-        self.updates = r.get_u64();
+    /// Checkpoint layout: bimodal, tagged tables, allocator LFSR, update
+    /// counter. Geometry is reconstructed from params, not stored.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        self.bimodal.sync_state(io);
+        io.table(&mut self.tables, "TAGE table-count", |io, t| {
+            io.table(t, "TAGE table geometry", |io, e| {
+                io.v(&mut e.ctr);
+                io.v(&mut e.tag);
+                io.v(&mut e.u);
+                io.v(&mut e.valid);
+            });
+        });
+        io.v(&mut self.use_alt_on_na);
+        io.v(&mut self.lfsr);
+        io.v(&mut self.updates);
     }
 }
 
-impl TagePrediction {
-    /// Serializes a prediction held by an in-flight branch record.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_bool(self.taken);
-        w.put_u8(match self.provider {
-            TageProvider::Bimodal => 0,
-            TageProvider::Hit => 1,
-            TageProvider::Alt => 2,
-        });
-        w.put_i8(self.provider_ctr);
-        w.put_i8(self.hit_bank);
-        w.put_i8(self.alt_bank);
-        w.put_bool(self.hit_taken);
-        w.put_bool(self.alt_taken);
-        w.put_bool(self.bim_taken);
-        w.put_i8(self.bim_ctr);
-        w.put_bool(self.newly_alloc);
-        for i in self.indices {
-            w.put_u16(i);
-        }
-        for t in self.tags {
-            w.put_u16(t);
-        }
-    }
-
-    /// Decodes a prediction written by [`TagePrediction::save_state`].
-    pub fn load_state(r: &mut sim_isa::StateReader) -> Self {
-        let taken = r.get_bool();
-        let provider = match r.get_u8() {
-            0 => TageProvider::Bimodal,
-            1 => TageProvider::Hit,
-            2 => TageProvider::Alt,
-            b => panic!("checkpoint state corrupt: TAGE provider {b}"),
-        };
-        let provider_ctr = r.get_i8();
-        let hit_bank = r.get_i8();
-        let alt_bank = r.get_i8();
-        let hit_taken = r.get_bool();
-        let alt_taken = r.get_bool();
-        let bim_taken = r.get_bool();
-        let bim_ctr = r.get_i8();
-        let newly_alloc = r.get_bool();
-        let mut indices = [0u16; MAX_TABLES];
-        for i in &mut indices {
-            *i = r.get_u16();
-        }
-        let mut tags = [0u16; MAX_TABLES];
-        for t in &mut tags {
-            *t = r.get_u16();
-        }
-        TagePrediction {
-            taken,
-            provider,
-            provider_ctr,
-            hit_bank,
-            alt_bank,
-            hit_taken,
-            alt_taken,
-            bim_taken,
-            bim_ctr,
-            newly_alloc,
-            indices,
-            tags,
-        }
+/// Checkpoint layout of a prediction held by an in-flight branch record.
+impl sim_isa::Field for TagePrediction {
+    fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        use TageProvider as P;
+        io.v(&mut self.taken);
+        io.choice(
+            &mut self.provider,
+            &[P::Bimodal, P::Hit, P::Alt],
+            "TAGE provider",
+        );
+        io.v(&mut self.provider_ctr);
+        io.v(&mut self.hit_bank);
+        io.v(&mut self.alt_bank);
+        io.v(&mut self.hit_taken);
+        io.v(&mut self.alt_taken);
+        io.v(&mut self.bim_taken);
+        io.v(&mut self.bim_ctr);
+        io.v(&mut self.newly_alloc);
+        io.each(&mut self.indices);
+        io.each(&mut self.tags);
     }
 }
 

@@ -15,9 +15,12 @@ use sim_isa::Addr;
 
 /// Which TAGE-SC-L component provided the final direction — the categories
 /// of the paper's Figs. 6 and 7.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub enum Provider {
     /// Bimodal, with no miss among its last 8 predictions.
+    #[default]
     Bimodal,
     /// Bimodal, with ≥1 miss among its last 8 predictions
     /// (`bimodal >1in8` in the paper).
@@ -71,7 +74,7 @@ pub enum SclPreset {
 
 /// One complete TAGE-SC-L prediction with provider attribution and all the
 /// state needed for the eventual update.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SclPrediction {
     /// Final predicted direction.
     pub taken: bool,
@@ -239,67 +242,35 @@ impl TageScL {
 }
 
 impl TageScL {
-    /// Serializes the composite's mutable state (all three component
-    /// predictors plus the bimodal last-8 register). The preset/geometry
-    /// is not stored; restore targets must be built with the same preset.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        self.tage.save_state(w);
-        self.sc.save_state(w);
-        self.lp.save_state(w);
-        w.put_u8(self.bim_miss_hist);
-    }
-
-    /// Restores state written by [`TageScL::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        self.tage.restore_state(r);
-        self.sc.restore_state(r);
-        self.lp.restore_state(r);
-        self.bim_miss_hist = r.get_u8();
+    /// Checkpoint layout: all three component predictors plus the bimodal
+    /// last-8 register. The preset/geometry is not stored; load targets
+    /// must be built with the same preset.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        self.tage.sync_state(io);
+        self.sc.sync_state(io);
+        self.lp.sync_state(io);
+        io.v(&mut self.bim_miss_hist);
     }
 }
 
-impl SclPrediction {
-    /// Serializes a prediction held by an in-flight branch record.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_bool(self.taken);
-        w.put_u8(match self.provider {
-            Provider::Bimodal => 0,
-            Provider::BimodalLow8 => 1,
-            Provider::HitBank => 2,
-            Provider::AltBank => 3,
-            Provider::LoopPred => 4,
-            Provider::Sc => 5,
-        });
-        self.tage.save_state(w);
-        self.sc.save_state(w);
-        self.lp.save_state(w);
-        w.put_bool(self.bim_low8);
-    }
-
-    /// Decodes a prediction written by [`SclPrediction::save_state`].
-    pub fn load_state(r: &mut sim_isa::StateReader) -> Self {
-        let taken = r.get_bool();
-        let provider = match r.get_u8() {
-            0 => Provider::Bimodal,
-            1 => Provider::BimodalLow8,
-            2 => Provider::HitBank,
-            3 => Provider::AltBank,
-            4 => Provider::LoopPred,
-            5 => Provider::Sc,
-            b => panic!("checkpoint state corrupt: SCL provider {b}"),
-        };
-        let tage = TagePrediction::load_state(r);
-        let sc = ScPrediction::load_state(r);
-        let lp = LoopPrediction::load_state(r);
-        let bim_low8 = r.get_bool();
-        SclPrediction {
-            taken,
-            provider,
-            tage,
-            sc,
-            lp,
-            bim_low8,
-        }
+/// Checkpoint layout of a prediction held by an in-flight branch record.
+impl sim_isa::Field for SclPrediction {
+    fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        use Provider as P;
+        io.v(&mut self.taken);
+        let codes = [
+            P::Bimodal,
+            P::BimodalLow8,
+            P::HitBank,
+            P::AltBank,
+            P::LoopPred,
+            P::Sc,
+        ];
+        io.choice(&mut self.provider, &codes, "SCL provider");
+        io.v(&mut self.tage);
+        io.v(&mut self.sc);
+        io.v(&mut self.lp);
+        io.v(&mut self.bim_low8);
     }
 }
 

@@ -13,7 +13,7 @@ use sim_isa::{DynInst, ExecClass, InstKind};
 use std::collections::VecDeque;
 
 /// One ROB entry.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RobEntry {
     /// Correct-path position of the instruction.
     pub pos: u64,
@@ -114,33 +114,22 @@ impl Backend {
         out
     }
 
-    /// Serializes the ROB and the register scoreboard.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.rob.len());
-        for e in &self.rob {
-            w.put_u64(e.pos);
-            w.put_u64(e.complete);
-            w.put_opt_u64(e.rec);
-        }
-        for &r in &self.reg_avail {
-            w.put_u64(r);
-        }
+    /// Checkpoint layout: the ROB, then the register scoreboard.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.v(&mut self.rob);
+        assert!(
+            self.rob.len() <= self.cfg.rob_entries,
+            "ROB geometry mismatch"
+        );
+        io.each(&mut self.reg_avail);
     }
+}
 
-    /// Restores state written by [`Backend::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert!(n <= self.cfg.rob_entries, "ROB geometry mismatch");
-        self.rob.clear();
-        for _ in 0..n {
-            let pos = r.get_u64();
-            let complete = r.get_u64();
-            let rec = r.get_opt_u64();
-            self.rob.push_back(RobEntry { pos, complete, rec });
-        }
-        for slot in &mut self.reg_avail {
-            *slot = r.get_u64();
-        }
+impl sim_isa::Field for RobEntry {
+    fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.v(&mut self.pos);
+        io.v(&mut self.complete);
+        io.v(&mut self.rec);
     }
 }
 

@@ -33,7 +33,7 @@ use crate::snapshot::{
 use crate::stats::{paths, CondCounters, SimStats};
 use crate::ucp::UcpEngine;
 use backend::Backend;
-use sim_isa::{fnv1a64, Addr, BranchClass, DynInst, InstKind, StateReader, StateWriter};
+use sim_isa::{fnv1a64, Addr, BranchClass, DynInst, Field, InstKind, StateIo};
 use std::collections::{BinaryHeap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -108,14 +108,18 @@ enum Mode {
 }
 
 /// The kind of branch a prediction record tracks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum RecKind {
+    #[default]
     Cond,
-    Indirect { is_call: bool },
+    Indirect {
+        is_call: bool,
+    },
     Return,
 }
 
 /// One in-flight branch prediction.
+#[derive(Default)]
 struct PredRecord {
     pc: Addr,
     kind: RecKind,
@@ -141,7 +145,7 @@ struct PredRecord {
 const MAX_BLOCK_RECS: usize = 4;
 
 /// One FTQ fetch block (≤ 8 instructions inside one 32 B window).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct FetchBlock {
     start: Addr,
     n: u8,
@@ -167,7 +171,7 @@ impl FetchBlock {
 }
 
 /// One µ-op waiting to dispatch.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct UopQEntry {
     /// Correct-path position (`None` = wrong path, squashed at dispatch).
     pos: Option<u64>,
@@ -180,6 +184,7 @@ struct UopQEntry {
 /// `run_full`'s stack) so that a checkpoint taken mid-window carries it,
 /// and a restored run closes the window against the *original* baseline —
 /// bit-identical to an uninterrupted run.
+#[derive(Default)]
 struct MeasureState {
     start_cycle: u64,
     start_committed: u64,
@@ -486,7 +491,7 @@ impl<'p> Simulator<'p> {
     }
 
     /// Captures the machine state for failure diagnostics.
-    fn diag_snapshot(&self) -> DiagSnapshot {
+    fn diag_snapshot(&mut self) -> DiagSnapshot {
         DiagSnapshot {
             cycle: self.now,
             committed: self.committed,
@@ -507,7 +512,7 @@ impl<'p> Simulator<'p> {
     /// pipeline is livelocked (always a simulator bug, never a workload
     /// property) — terminate with a diagnostic snapshot instead of
     /// spinning forever.
-    fn hang_check(&self) -> Result<(), SimError> {
+    fn hang_check(&mut self) -> Result<(), SimError> {
         match self.watchdog {
             Some(window) if self.now - self.last_commit_cycle >= window => Err(SimError::Hang {
                 workload: String::new(),
@@ -1667,9 +1672,7 @@ impl<'p> Simulator<'p> {
             // The slug already keys the directory by trajectory; verify
             // anyway — a slug collision must not resume a foreign machine.
             if meta.spec_json == spec_json && meta.cfg_json == cfg_json && meta.seed == spec.seed {
-                let mut r = StateReader::new(&state);
-                self.restore_state(&mut r);
-                r.finish();
+                self.restore_from_bytes(&state);
                 self.last_ckpt_committed = meta.committed;
                 eprintln!(
                     "[ucp-ckpt] resuming {} (seed {}) at {} committed instructions",
@@ -1714,9 +1717,7 @@ impl<'p> Simulator<'p> {
         if self.committed < self.last_ckpt_committed + every {
             return Ok(());
         }
-        let mut w = StateWriter::new();
-        self.save_state(&mut w);
-        let state = w.into_bytes();
+        let state = self.state_bytes();
         let sink = self.ckpt.as_ref().expect("checkpoint sink armed");
         let meta = CheckpointMeta {
             version: CKPT_VERSION,
@@ -1768,11 +1769,16 @@ impl<'p> Simulator<'p> {
         });
     }
 
+    /// The complete serialized machine state.
+    fn state_bytes(&mut self) -> Vec<u8> {
+        let mut io = StateIo::save();
+        self.sync_state(&mut io);
+        io.into_bytes()
+    }
+
     /// FNV-1a digest of the complete serialized machine state.
-    pub fn state_digest(&self) -> u64 {
-        let mut w = StateWriter::new();
-        self.save_state(&mut w);
-        fnv1a64(w.bytes())
+    pub fn state_digest(&mut self) -> u64 {
+        fnv1a64(&self.state_bytes())
     }
 
     /// The determinism auditor's digest samples so far.
@@ -1793,7 +1799,7 @@ impl<'p> Simulator<'p> {
 
     /// Public diagnostics capture — the divergence bisector dumps a
     /// replayed and a recorded machine side by side through this.
-    pub fn diagnostics(&self) -> DiagSnapshot {
+    pub fn diagnostics(&mut self) -> DiagSnapshot {
         self.diag_snapshot()
     }
 
@@ -1824,440 +1830,205 @@ impl<'p> Simulator<'p> {
     /// workload and configuration (geometry asserts), or are truncated or
     /// corrupt (the integrity envelope normally rejects those first).
     pub fn restore_from_bytes(&mut self, state: &[u8]) {
-        let mut r = StateReader::new(state);
-        self.restore_state(&mut r);
-        r.finish();
+        let mut io = StateIo::load(state);
+        self.sync_state(&mut io);
+        io.finish();
     }
 
-    fn cause_code(c: CycleCause) -> u8 {
-        CycleCause::ALL
-            .iter()
-            .position(|&x| x == c)
-            .expect("every cause is in ALL") as u8
-    }
-
-    fn cause_from_code(code: u8) -> CycleCause {
-        CycleCause::ALL[code as usize]
-    }
-
-    fn save_rec_kind(w: &mut StateWriter, k: RecKind) {
-        w.put_u8(match k {
-            RecKind::Cond => 0,
-            RecKind::Indirect { is_call: false } => 1,
-            RecKind::Indirect { is_call: true } => 2,
-            RecKind::Return => 3,
-        });
-    }
-
-    fn load_rec_kind(r: &mut StateReader) -> RecKind {
-        match r.get_u8() {
-            0 => RecKind::Cond,
-            1 => RecKind::Indirect { is_call: false },
-            2 => RecKind::Indirect { is_call: true },
-            3 => RecKind::Return,
-            k => panic!("checkpoint state corrupt: record kind {k}"),
-        }
-    }
-
-    fn save_record(w: &mut StateWriter, rec: &PredRecord) {
-        w.put_addr(rec.pc);
-        Self::save_rec_kind(w, rec.kind);
-        w.put_opt_u64(rec.pos);
-        w.put_bool(rec.actual_taken);
-        w.put_addr(rec.actual_next);
-        w.put_bool(rec.mispredicted);
-        w.put_bool(rec.no_target);
-        rec.cp_bp.save_state(w);
-        rec.cp_it.save_state(w);
-        rec.cp_ras.save_state(w);
-        w.put_bool(rec.cp_alt.is_some());
-        if let Some((a, b)) = &rec.cp_alt {
-            a.save_state(w);
-            b.save_state(w);
-        }
-        w.put_bool(rec.scl.is_some());
-        if let Some(p) = &rec.scl {
-            p.save_state(w);
-        }
-        w.put_bool(rec.itt.is_some());
-        if let Some(p) = &rec.itt {
-            p.save_state(w);
-        }
-        w.put_bool(rec.alt_scl.is_some());
-        if let Some(p) = &rec.alt_scl {
-            p.save_state(w);
-        }
-        w.put_bool(rec.alt_itt.is_some());
-        if let Some(p) = &rec.alt_itt {
-            p.save_state(w);
-        }
-        w.put_bool(rec.h2p_tage);
-        w.put_bool(rec.h2p_ucp);
-    }
-
-    fn load_record(r: &mut StateReader) -> PredRecord {
-        PredRecord {
-            pc: r.get_addr(),
-            kind: Self::load_rec_kind(r),
-            pos: r.get_opt_u64(),
-            actual_taken: r.get_bool(),
-            actual_next: r.get_addr(),
-            mispredicted: r.get_bool(),
-            no_target: r.get_bool(),
-            cp_bp: HistCheckpoint::load_state(r),
-            cp_it: HistCheckpoint::load_state(r),
-            cp_ras: RasCheckpoint::load_state(r),
-            cp_alt: r
-                .get_bool()
-                .then(|| (HistCheckpoint::load_state(r), HistCheckpoint::load_state(r))),
-            scl: r.get_bool().then(|| SclPrediction::load_state(r)),
-            itt: r.get_bool().then(|| IttagePrediction::load_state(r)),
-            alt_scl: r.get_bool().then(|| SclPrediction::load_state(r)),
-            alt_itt: r.get_bool().then(|| IttagePrediction::load_state(r)),
-            h2p_tage: r.get_bool(),
-            h2p_ucp: r.get_bool(),
-        }
-    }
-
-    fn save_block(w: &mut StateWriter, b: &FetchBlock) {
-        w.put_addr(b.start);
-        w.put_u8(b.n);
-        w.put_u8(b.n_cond);
-        w.put_opt_u64(b.pos);
-        w.put_u8(b.diverge_at);
-        w.put_opt_u64(b.fetch_ready);
-        w.put_u8(b.n_recs);
-        for &(o, id) in &b.recs {
-            w.put_u8(o);
-            w.put_u64(id);
-        }
-    }
-
-    fn load_block(r: &mut StateReader) -> FetchBlock {
-        let start = r.get_addr();
-        let n = r.get_u8();
-        let n_cond = r.get_u8();
-        let pos = r.get_opt_u64();
-        let diverge_at = r.get_u8();
-        let fetch_ready = r.get_opt_u64();
-        let n_recs = r.get_u8();
-        let mut recs = [(0u8, 0u64); MAX_BLOCK_RECS];
-        for slot in &mut recs {
-            *slot = (r.get_u8(), r.get_u64());
-        }
-        FetchBlock {
-            start,
-            n,
-            n_cond,
-            pos,
-            diverge_at,
-            fetch_ready,
-            recs,
-            n_recs,
-        }
-    }
-
-    /// Serializes the complete mutable machine state, every component in
-    /// declaration order. Geometry and configuration are never written —
-    /// a restore target must be built from the same `SimConfig` and
-    /// workload (asserted where cheap). The resolution heap is serialized
-    /// sorted, records in ring-slot order, so identical machines always
-    /// produce identical bytes.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.mark(0x5349_4d30);
-        // Workload state: the oracle RNG and the materialized stream
-        // (instructions are rebuilt from the program on restore).
-        self.oracle.save_state(w);
-        w.put_u64(self.stream_base);
-        w.put_usize(self.stream.len());
-        for d in &self.stream {
-            w.put_addr(d.pc);
-            w.put_addr(d.next_pc);
-            w.put_bool(d.taken);
-            w.put_addr(d.mem_addr);
-        }
-        w.put_u64(self.now);
-        // Predictors.
-        self.bp.save_state(w);
-        self.bp_hist.save_state(w);
-        self.ittage.save_state(w);
-        self.it_hist.save_state(w);
-        self.btb.save_state(w);
-        self.ras.save_state(w);
-        w.mark(0x5349_4d31);
-        // µ-op cache, memory hierarchy, prefetchers, UCP engine.
-        w.put_bool(self.uop_cache.is_some());
-        if let Some(uc) = &self.uop_cache {
-            uc.save_state(w);
-        }
-        self.hier.save_state(w);
-        self.prefetcher.save_state(w);
-        w.put_usize(self.prefetch_pq.len());
-        for &line in self.prefetch_pq.iter() {
-            w.put_addr(line);
-        }
-        w.put_bool(self.mrc.is_some());
-        if let Some(m) = &self.mrc {
-            m.save_state(w);
-        }
-        w.put_bool(self.mrc_filling);
-        w.put_u32(self.mrc_stream_left);
-        w.put_bool(self.ucp.is_some());
-        if let Some(u) = &self.ucp {
-            u.save_state(w);
-        }
-        w.mark(0x5349_4d32);
-        // Address generation.
-        w.put_addr(self.agen_pc);
-        w.put_opt_u64(self.agen_pos);
-        w.put_u64(self.agen_stall_until);
-        w.put_bool(self.agen_dead);
-        w.put_u32(self.agen_window_penalty);
-        w.put_opt_u64(self.pending_mispredict);
-        w.put_u64(self.demand_btb_banks);
-        w.put_u8(Self::cause_code(self.agen_stall_kind));
-        // FTQ, µ-op queue and delivery state.
-        w.put_usize(self.ftq.len());
-        for b in self.ftq.iter() {
-            Self::save_block(w, b);
-        }
-        w.put_usize(self.uopq.len());
-        for e in self.uopq.iter() {
-            w.put_opt_u64(e.pos);
-            w.put_u64(e.ready);
-            w.put_opt_u64(e.rec);
-        }
-        w.put_u8(match self.mode {
-            Mode::Stream => 0,
-            Mode::Build => 1,
-        });
-        w.put_u64(self.fetch_stall_until);
-        w.put_u32(self.consec_uop_hits);
-        w.put_u8(self.head_delivered);
-        w.put_u32(self.ideal_brcond_left);
-        // In-flight prediction records: the id of slot 0, then the slots.
-        w.put_u64(self.rec_base);
-        w.put_usize(self.records.len());
-        for slot in &self.records {
-            w.put_bool(slot.is_some());
-            if let Some(rec) = slot {
-                Self::save_record(w, rec);
-            }
-        }
-        // Backend and the resolution calendar (heap iteration order is
-        // arbitrary for equal keys; serialize sorted).
-        self.backend.save_state(w);
-        let mut rq: Vec<(u64, u64)> = self.resolve_q.iter().map(|x| x.0).collect();
-        rq.sort_unstable();
-        w.put_usize(rq.len());
-        for (t, id) in rq {
-            w.put_u64(t);
-            w.put_u64(id);
-        }
-        w.mark(0x5349_4d33);
-        // Commit bookkeeping and the measurement window.
-        w.put_u64(self.committed);
-        w.put_u64(self.last_commit_cycle);
-        w.put_opt_u64(self.last_retired_pc.map(Addr::raw));
-        w.put_bool(self.measure_state.is_some());
-        if let Some(ms) = &self.measure_state {
-            w.put_u64(ms.start_cycle);
-            w.put_u64(ms.start_committed);
-            w.put_str(&serde_json::to_string(&ms.reg0).expect("snapshot serializes"));
-        }
-        // The registry holds every statistic; it goes through serde — a
-        // wide, growing map whose JSON form already has a stable order.
-        w.put_str(
-            &serde_json::to_string(&self.tele.handle.registry.snapshot())
-                .expect("registry snapshot serializes"),
-        );
-        w.put_bool(self.sampler.is_some());
-        if let Some(s) = &self.sampler {
-            w.put_str(&serde_json::to_string(&s.export_state()).expect("sampler state serializes"));
-        }
-        // The determinism auditor.
-        w.put_u64(self.last_digest_committed);
-        w.put_usize(self.digests.len());
-        for d in &self.digests {
-            w.put_u64(d.committed);
-            w.put_u64(d.cycle);
-            w.put_u64(d.digest);
-        }
-        w.mark(0x5349_4d34);
-    }
-
-    /// Restores state written by [`Simulator::save_state`]. The receiver
-    /// must have been built from the same program, seed and `SimConfig`.
+    /// The complete mutable machine state as one checkpoint pass, every
+    /// component in declaration order: [`StateIo::save`] serializes it,
+    /// [`StateIo::load`] restores it. Geometry and configuration are never
+    /// written — a load target must be built from the same program, seed
+    /// and `SimConfig` (asserted where cheap). The resolution heap is
+    /// saved sorted and records in ring-slot order, so identical machines
+    /// always produce identical bytes.
     ///
     /// # Panics
     ///
-    /// Panics on any geometry or configuration mismatch, and on corrupt
-    /// or truncated state (the integrity envelope rejects those before
-    /// this runs; the suite layer catches the rest at its unwind
+    /// A load panics on any geometry or configuration mismatch, and on
+    /// corrupt or truncated state (the integrity envelope rejects those
+    /// before this runs; the suite layer catches the rest at its unwind
     /// boundary).
-    pub fn restore_state(&mut self, r: &mut StateReader) {
-        r.check(0x5349_4d30);
-        self.oracle.restore_state(r);
-        self.stream_base = r.get_u64();
-        let n = r.get_usize();
-        self.stream.clear();
-        for _ in 0..n {
-            let pc = r.get_addr();
-            let next_pc = r.get_addr();
-            let taken = r.get_bool();
-            let mem_addr = r.get_addr();
-            let inst = *self
-                .prog
-                .inst_at(pc)
-                .expect("checkpoint stream pc outside the program");
-            self.stream.push_back(DynInst {
-                pc,
-                inst,
-                next_pc,
-                taken,
-                mem_addr,
-            });
+    pub fn sync_state(&mut self, io: &mut StateIo) {
+        io.mark(0x5349_4d30);
+        // Workload state: the oracle RNG and the materialized stream
+        // (a load rebuilds the instructions from the program).
+        self.oracle.sync_state(io);
+        io.v(&mut self.stream_base);
+        let mut stream: Vec<_> = (self.stream.iter())
+            .map(|d| (d.pc, d.next_pc, d.taken, d.mem_addr))
+            .collect();
+        io.v(&mut stream);
+        if io.is_load() {
+            self.stream = (stream.into_iter())
+                .map(|(pc, next_pc, taken, mem_addr)| DynInst {
+                    pc,
+                    inst: *self
+                        .prog
+                        .inst_at(pc)
+                        .expect("checkpoint stream pc outside the program"),
+                    next_pc,
+                    taken,
+                    mem_addr,
+                })
+                .collect();
         }
-        self.now = r.get_u64();
-        self.bp.restore_state(r);
-        self.bp_hist.restore_state(r);
-        self.ittage.restore_state(r);
-        self.it_hist.restore_state(r);
-        self.btb.restore_state(r);
-        self.ras.restore_state(r);
-        r.check(0x5349_4d31);
-        let has_uc = r.get_bool();
-        assert_eq!(
-            has_uc,
-            self.uop_cache.is_some(),
-            "µ-op cache configuration mismatch"
-        );
-        if let Some(uc) = self.uop_cache.as_mut() {
-            uc.restore_state(r);
-        }
-        self.hier.restore_state(r);
-        self.prefetcher.restore_state(r);
-        let n = r.get_usize();
-        self.prefetch_pq.clear();
-        for _ in 0..n {
-            self.prefetch_pq
-                .push(r.get_addr())
-                .expect("prefetch queue geometry mismatch");
-        }
-        let has_mrc = r.get_bool();
-        assert_eq!(has_mrc, self.mrc.is_some(), "MRC configuration mismatch");
-        if let Some(m) = self.mrc.as_mut() {
-            m.restore_state(r);
-        }
-        self.mrc_filling = r.get_bool();
-        self.mrc_stream_left = r.get_u32();
-        let has_ucp = r.get_bool();
-        assert_eq!(has_ucp, self.ucp.is_some(), "UCP configuration mismatch");
-        if let Some(u) = self.ucp.as_mut() {
-            u.restore_state(r);
-        }
-        r.check(0x5349_4d32);
-        self.agen_pc = r.get_addr();
-        self.agen_pos = r.get_opt_u64();
-        self.agen_stall_until = r.get_u64();
-        self.agen_dead = r.get_bool();
-        self.agen_window_penalty = r.get_u32();
-        self.pending_mispredict = r.get_opt_u64();
-        self.demand_btb_banks = r.get_u64();
-        self.agen_stall_kind = Self::cause_from_code(r.get_u8());
-        let n = r.get_usize();
-        self.ftq.clear();
-        for _ in 0..n {
-            let b = Self::load_block(r);
-            self.ftq.push(b).expect("FTQ geometry mismatch");
-        }
-        let n = r.get_usize();
-        self.uopq.clear();
-        for _ in 0..n {
-            let e = UopQEntry {
-                pos: r.get_opt_u64(),
-                ready: r.get_u64(),
-                rec: r.get_opt_u64(),
-            };
-            self.uopq.push(e).expect("µ-op queue geometry mismatch");
-        }
-        self.mode = match r.get_u8() {
-            0 => Mode::Stream,
-            1 => Mode::Build,
-            m => panic!("checkpoint state corrupt: mode {m}"),
-        };
-        self.fetch_stall_until = r.get_u64();
-        self.consec_uop_hits = r.get_u32();
-        self.head_delivered = r.get_u8();
-        self.ideal_brcond_left = r.get_u32();
-        self.rec_base = r.get_u64();
-        let n = r.get_usize();
-        self.records.clear();
-        for _ in 0..n {
-            let slot = r.get_bool().then(|| Self::load_record(r));
-            self.records.push_back(slot);
-        }
-        self.backend.restore_state(r);
-        let n = r.get_usize();
-        self.resolve_q.clear();
-        for _ in 0..n {
-            let t = r.get_u64();
-            let id = r.get_u64();
-            self.resolve_q.push(std::cmp::Reverse((t, id)));
-        }
-        r.check(0x5349_4d33);
-        self.committed = r.get_u64();
-        self.last_commit_cycle = r.get_u64();
-        self.last_retired_pc = r.get_opt_u64().map(Addr::new);
-        self.measure_state = r.get_bool().then(|| MeasureState {
-            start_cycle: r.get_u64(),
-            start_committed: r.get_u64(),
-            reg0: serde_json::from_str(r.get_str()).expect("checkpoint registry baseline parses"),
+        io.v(&mut self.now);
+        // Predictors.
+        self.bp.sync_state(io);
+        self.bp_hist.sync_state(io);
+        self.ittage.sync_state(io);
+        self.it_hist.sync_state(io);
+        self.btb.sync_state(io);
+        self.ras.sync_state(io);
+        io.mark(0x5349_4d31);
+        // µ-op cache, memory hierarchy, prefetchers, UCP engine.
+        let uc = self.uop_cache.as_mut();
+        io.optional(uc, "µ-op cache configuration", |io, uc| uc.sync_state(io));
+        self.hier.sync_state(io);
+        self.prefetcher.sync_state(io);
+        self.prefetch_pq.sync_state(io, "prefetch queue geometry");
+        io.optional(self.mrc.as_mut(), "MRC configuration", |io, m| {
+            m.sync_state(io)
         });
-        let snap: RegistrySnapshot =
-            serde_json::from_str(r.get_str()).expect("checkpoint registry snapshot parses");
-        self.tele.handle.registry.restore(&snap);
-        let has_sampler = r.get_bool();
-        assert_eq!(
-            has_sampler,
-            self.sampler.is_some(),
-            "interval sampler configuration mismatch \
-             (UCP_INTERVAL must match the checkpointed run)"
-        );
-        if let Some(s) = self.sampler.as_mut() {
-            let st = serde_json::from_str(r.get_str()).expect("checkpoint sampler state parses");
-            s.import_state(st);
+        io.v(&mut self.mrc_filling);
+        io.v(&mut self.mrc_stream_left);
+        io.optional(self.ucp.as_mut(), "UCP configuration", |io, u| {
+            u.sync_state(io)
+        });
+        io.mark(0x5349_4d32);
+        // Address generation.
+        io.v(&mut self.agen_pc);
+        io.v(&mut self.agen_pos);
+        io.v(&mut self.agen_stall_until);
+        io.v(&mut self.agen_dead);
+        io.v(&mut self.agen_window_penalty);
+        io.v(&mut self.pending_mispredict);
+        io.v(&mut self.demand_btb_banks);
+        io.choice(&mut self.agen_stall_kind, &CycleCause::ALL, "cycle cause");
+        // FTQ, µ-op queue and delivery state.
+        self.ftq.sync_state(io, "FTQ geometry");
+        self.uopq.sync_state(io, "µ-op queue geometry");
+        io.choice(&mut self.mode, &[Mode::Stream, Mode::Build], "mode");
+        io.v(&mut self.fetch_stall_until);
+        io.v(&mut self.consec_uop_hits);
+        io.v(&mut self.head_delivered);
+        io.v(&mut self.ideal_brcond_left);
+        // In-flight prediction records: the id of slot 0, then the slots.
+        io.v(&mut self.rec_base);
+        io.v(&mut self.records);
+        // Backend and the resolution calendar (heap iteration order is
+        // arbitrary for equal keys: saved sorted, rebuilt on load).
+        self.backend.sync_state(io);
+        let mut rq: Vec<(u64, u64)> = self.resolve_q.iter().map(|x| x.0).collect();
+        rq.sort_unstable();
+        io.v(&mut rq);
+        if io.is_load() {
+            self.resolve_q = rq.into_iter().map(std::cmp::Reverse).collect();
         }
-        self.last_digest_committed = r.get_u64();
-        let n = r.get_usize();
-        self.digests.clear();
-        for _ in 0..n {
-            self.digests.push(DigestRecord {
-                committed: r.get_u64(),
-                cycle: r.get_u64(),
-                digest: r.get_u64(),
-            });
+        io.mark(0x5349_4d33);
+        // Commit bookkeeping and the measurement window.
+        io.v(&mut self.committed);
+        io.v(&mut self.last_commit_cycle);
+        io.v(&mut self.last_retired_pc);
+        io.v(&mut self.measure_state);
+        // The registry holds every statistic and the sampler its series;
+        // both go through their JSON form, whose order is already stable.
+        let mut snap = self.tele.handle.registry.snapshot();
+        sync_json(io, &mut snap, "registry snapshot");
+        let what = "interval sampler configuration (UCP_INTERVAL must match the checkpointed run)";
+        io.optional(self.sampler.as_mut(), what, |io, s| {
+            let mut st = s.export_state();
+            sync_json(io, &mut st, "sampler state");
+            if io.is_load() {
+                s.import_state(st);
+            }
+        });
+        // The determinism auditor.
+        io.v(&mut self.last_digest_committed);
+        io.v(&mut self.digests);
+        io.mark(0x5349_4d34);
+        if io.is_load() {
+            self.tele.handle.registry.restore(&snap);
+            // Per-cycle scratch is not serialized (it is dead between
+            // cycles and reset at the top of `cycle()`); clear it
+            // defensively.
+            self.demand_uop_banks = [false; 2];
+            self.delivered_uop = false;
+            self.delivered_decode = false;
+            self.deliver_blocked = None;
         }
-        r.check(0x5349_4d34);
-        // Per-cycle scratch is not serialized (it is dead between cycles
-        // and reset at the top of `cycle()`); clear it defensively.
-        self.demand_uop_banks = [false; 2];
-        self.delivered_uop = false;
-        self.delivered_decode = false;
-        self.deliver_blocked = None;
     }
 }
 
-impl crate::snapshot::Checkpointable for Simulator<'_> {
-    fn component_id(&self) -> &'static str {
-        "simulator"
+/// A value checkpointed through its JSON form (a length-prefixed string).
+fn sync_json<T: serde::Serialize + serde::Deserialize>(io: &mut StateIo, v: &mut T, what: &str) {
+    let mut json = if io.is_load() {
+        String::new()
+    } else {
+        serde_json::to_string(v).unwrap_or_else(|e| panic!("{what} serializes: {e}"))
+    };
+    io.v(&mut json);
+    if io.is_load() {
+        *v =
+            serde_json::from_str(&json).unwrap_or_else(|e| panic!("checkpoint {what} parses: {e}"));
     }
+}
 
-    fn save_state(&self, w: &mut StateWriter) {
-        Simulator::save_state(self, w);
+impl Field for PredRecord {
+    fn sync_state(&mut self, io: &mut StateIo) {
+        use RecKind as K;
+        let kinds = [
+            K::Cond,
+            K::Indirect { is_call: false },
+            K::Indirect { is_call: true },
+            K::Return,
+        ];
+        io.v(&mut self.pc);
+        io.choice(&mut self.kind, &kinds, "record kind");
+        io.v(&mut self.pos);
+        io.v(&mut self.actual_taken);
+        io.v(&mut self.actual_next);
+        io.v(&mut self.mispredicted);
+        io.v(&mut self.no_target);
+        io.v(&mut self.cp_bp);
+        io.v(&mut self.cp_it);
+        io.v(&mut self.cp_ras);
+        io.v(&mut self.cp_alt);
+        io.v(&mut self.scl);
+        io.v(&mut self.itt);
+        io.v(&mut self.alt_scl);
+        io.v(&mut self.alt_itt);
+        io.v(&mut self.h2p_tage);
+        io.v(&mut self.h2p_ucp);
     }
+}
 
-    fn restore_state(&mut self, r: &mut StateReader) {
-        Simulator::restore_state(self, r);
+impl Field for FetchBlock {
+    fn sync_state(&mut self, io: &mut StateIo) {
+        io.v(&mut self.start);
+        io.v(&mut self.n);
+        io.v(&mut self.n_cond);
+        io.v(&mut self.pos);
+        io.v(&mut self.diverge_at);
+        io.v(&mut self.fetch_ready);
+        io.v(&mut self.n_recs);
+        io.each(&mut self.recs);
+    }
+}
+
+impl Field for UopQEntry {
+    fn sync_state(&mut self, io: &mut StateIo) {
+        io.v(&mut self.pos);
+        io.v(&mut self.ready);
+        io.v(&mut self.rec);
+    }
+}
+
+impl Field for MeasureState {
+    fn sync_state(&mut self, io: &mut StateIo) {
+        io.v(&mut self.start_cycle);
+        io.v(&mut self.start_committed);
+        sync_json(io, &mut self.reg0, "registry baseline");
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A checkpoint is the *complete* mutable state of a [`crate::Simulator`]
 //! — pipeline, predictors, µ-op cache, UCP engine, memory hierarchy,
-//! statistics and telemetry — serialized with the [`sim_isa::StateWriter`]
-//! codec and wrapped in the result cache's integrity envelope (checksummed
+//! statistics and telemetry — serialized by one [`sim_isa::StateIo`] pass
+//! (`Simulator::sync_state`) and wrapped in the result cache's integrity envelope (checksummed
 //! header + atomic rename), so a torn or corrupted checkpoint is detected
 //! on read and quarantined rather than silently restored.
 //!
@@ -23,7 +23,7 @@
 
 use crate::error::SimError;
 use serde::{Deserialize, Serialize};
-use sim_isa::{fnv1a64, StateReader, StateWriter};
+use sim_isa::fnv1a64;
 use std::path::{Path, PathBuf};
 use ucp_telemetry::envelope::{quarantine, read_envelope_bytes, write_envelope_bytes};
 use ucp_telemetry::{CacheReadError, FaultPlan};
@@ -35,33 +35,6 @@ pub const CKPT_VERSION: u32 = 3;
 
 /// Default number of checkpoints retained per run.
 pub const DEFAULT_CKPT_KEEP: usize = 3;
-
-/// A component that can serialize and restore its full mutable state.
-///
-/// Implementations must be *total*: every field that can influence future
-/// simulation behaviour is written by `save_state` and overwritten by
-/// `restore_state` (geometry/configuration is excluded — it is rebuilt
-/// from the config and asserted on restore). Telemetry handles are
-/// excluded too: they are rebound on attach, and the registry contents are
-/// checkpointed separately at the simulator level.
-pub trait Checkpointable {
-    /// Stable identifier used in digests and divergence reports.
-    fn component_id(&self) -> &'static str;
-
-    /// Serializes the mutable state into `w`.
-    fn save_state(&self, w: &mut StateWriter);
-
-    /// Restores state written by `save_state`. The receiver must have been
-    /// built from the same configuration.
-    fn restore_state(&mut self, r: &mut StateReader);
-
-    /// 64-bit FNV-1a digest of the serialized state.
-    fn state_digest(&self) -> u64 {
-        let mut w = StateWriter::new();
-        self.save_state(&mut w);
-        fnv1a64(&w.into_bytes())
-    }
-}
 
 /// Everything needed to identify and resume a checkpoint, stored as the
 /// first (JSON) line of the payload.
@@ -100,6 +73,14 @@ pub struct DigestRecord {
     pub cycle: u64,
     /// FNV-1a digest of the full serialized machine state.
     pub digest: u64,
+}
+
+impl sim_isa::Field for DigestRecord {
+    fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.v(&mut self.committed);
+        io.v(&mut self.cycle);
+        io.v(&mut self.digest);
+    }
 }
 
 /// `UCP_CKPT` policy: checkpoint every `every` committed instructions,

@@ -16,7 +16,7 @@
 
 use crate::config::{ConfKind, UcpConfig};
 use crate::stats::paths;
-use sim_isa::{Addr, BranchClass};
+use sim_isa::{Addr, BranchClass, Field, StateIo};
 use ucp_bpred::{
     push_target_history, ConfidenceEstimator, HistCheckpoint, HistoryState, Ittage, IttageParams,
     IttagePrediction, Provider, SclPrediction, SclPreset, TageConf, TageScL, UcpConf,
@@ -27,7 +27,7 @@ use ucp_telemetry::{Category, Counter, Telemetry, Tracer};
 use ucp_workloads::Program;
 
 /// A fetch block generated on the alternate path.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AltBlock {
     /// First instruction address.
     pub start: Addr,
@@ -37,7 +37,7 @@ pub struct AltBlock {
     pub trigger: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct PendingPf {
     block: AltBlock,
     ready: u64,
@@ -641,131 +641,68 @@ impl UcpEngine {
         }
     }
 
-    // ---- checkpointing ----
-
-    fn save_block(w: &mut sim_isa::StateWriter, b: &AltBlock) {
-        w.put_addr(b.start);
-        w.put_u8(b.n);
-        w.put_u64(b.trigger);
+    /// Checkpoint layout: both alternate predictors, the predicted-path
+    /// mirrors, the Alt-RAS, the in-flight walk, and all queues.
+    /// Telemetry handles are rebound on attach, not checkpointed.
+    pub fn sync_state(&mut self, io: &mut StateIo) {
+        io.mark(0x7cb0);
+        self.alt_bp.sync_state(io);
+        self.alt_bp_mirror.sync_state(io);
+        let alt_ind = self.alt_ind.as_mut();
+        io.optional(alt_ind, "UCP Alt-Ind configuration", |io, i| {
+            i.sync_state(io)
+        });
+        self.alt_ind_mirror.sync_state(io);
+        self.alt_ras.sync_state(io);
+        let mut walking = self.walk.is_some();
+        io.v(&mut walking);
+        if walking != self.walk.is_some() {
+            // A load found a walk. Its histories carry geometry: start
+            // from the same-geometry mirrors, then overwrite them.
+            self.walk = walking.then(|| AltWalk {
+                pc: Addr::NULL,
+                hist: self.alt_bp_mirror.clone(),
+                path_hist: self.alt_ind_mirror.clone(),
+                weight: 0,
+                threshold: 0,
+                insts_since_branch: 0,
+                trigger: 0,
+                conflict_ctr: 0,
+            });
+        }
+        if let Some(walk) = &mut self.walk {
+            io.v(&mut walk.pc);
+            walk.hist.sync_state(io);
+            walk.path_hist.sync_state(io);
+            io.v(&mut walk.weight);
+            io.v(&mut walk.threshold);
+            io.v(&mut walk.insts_since_branch);
+            io.v(&mut walk.trigger);
+            io.v(&mut walk.conflict_ctr);
+        }
+        self.alt_ftq.sync_state(io, "alt queue geometry");
+        self.l1i_pq.sync_state(io, "alt queue geometry");
+        io.v(&mut self.pending);
+        self.decode_q.sync_state(io, "alt queue geometry");
+        io.v(&mut self.decode_progress);
+        io.v(&mut self.trigger_seq);
+        io.v(&mut self.recent_triggers);
+        io.mark(0x7cb1);
     }
+}
 
-    fn load_block(r: &mut sim_isa::StateReader) -> AltBlock {
-        AltBlock {
-            start: r.get_addr(),
-            n: r.get_u8(),
-            trigger: r.get_u64(),
-        }
+impl Field for AltBlock {
+    fn sync_state(&mut self, io: &mut StateIo) {
+        io.v(&mut self.start);
+        io.v(&mut self.n);
+        io.v(&mut self.trigger);
     }
+}
 
-    fn save_queue(w: &mut sim_isa::StateWriter, q: &BoundedQueue<AltBlock>) {
-        w.put_usize(q.len());
-        for b in q.iter() {
-            Self::save_block(w, b);
-        }
-    }
-
-    fn restore_queue(r: &mut sim_isa::StateReader, q: &mut BoundedQueue<AltBlock>) {
-        q.clear();
-        for _ in 0..r.get_usize() {
-            let b = Self::load_block(r);
-            q.push(b).expect("alt queue geometry mismatch");
-        }
-    }
-
-    /// Serializes the engine's mutable state: both alternate predictors,
-    /// the predicted-path mirrors, the Alt-RAS, the in-flight walk, and all
-    /// queues. Telemetry handles are rebound on attach, not checkpointed.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.mark(0x7cb0);
-        self.alt_bp.save_state(w);
-        self.alt_bp_mirror.save_state(w);
-        w.put_bool(self.alt_ind.is_some());
-        if let Some(ind) = &self.alt_ind {
-            ind.save_state(w);
-        }
-        self.alt_ind_mirror.save_state(w);
-        self.alt_ras.save_state(w);
-        w.put_bool(self.walk.is_some());
-        if let Some(walk) = &self.walk {
-            w.put_addr(walk.pc);
-            walk.hist.save_state(w);
-            walk.path_hist.save_state(w);
-            w.put_u32(walk.weight);
-            w.put_u32(walk.threshold);
-            w.put_u32(walk.insts_since_branch);
-            w.put_u64(walk.trigger);
-            w.put_u8(walk.conflict_ctr);
-        }
-        Self::save_queue(w, &self.alt_ftq);
-        Self::save_queue(w, &self.l1i_pq);
-        w.put_usize(self.pending.len());
-        for p in &self.pending {
-            Self::save_block(w, &p.block);
-            w.put_u64(p.ready);
-        }
-        Self::save_queue(w, &self.decode_q);
-        w.put_u32(self.decode_progress);
-        w.put_u64(self.trigger_seq);
-        w.put_usize(self.recent_triggers.len());
-        for &t in &self.recent_triggers {
-            w.put_u64(t);
-        }
-        w.mark(0x7cb1);
-    }
-
-    /// Restores state written by [`UcpEngine::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        r.check(0x7cb0);
-        self.alt_bp.restore_state(r);
-        self.alt_bp_mirror.restore_state(r);
-        let has_ind = r.get_bool();
-        assert_eq!(
-            has_ind,
-            self.alt_ind.is_some(),
-            "UCP Alt-Ind configuration mismatch"
-        );
-        if let Some(ind) = self.alt_ind.as_mut() {
-            ind.restore_state(r);
-        }
-        self.alt_ind_mirror.restore_state(r);
-        self.alt_ras.restore_state(r);
-        self.walk = if r.get_bool() {
-            let pc = r.get_addr();
-            // HistoryState carries geometry; clone the same-geometry
-            // mirrors and overwrite their contents.
-            let mut hist = self.alt_bp_mirror.clone();
-            hist.restore_state(r);
-            let mut path_hist = self.alt_ind_mirror.clone();
-            path_hist.restore_state(r);
-            Some(AltWalk {
-                pc,
-                hist,
-                path_hist,
-                weight: r.get_u32(),
-                threshold: r.get_u32(),
-                insts_since_branch: r.get_u32(),
-                trigger: r.get_u64(),
-                conflict_ctr: r.get_u8(),
-            })
-        } else {
-            None
-        };
-        Self::restore_queue(r, &mut self.alt_ftq);
-        Self::restore_queue(r, &mut self.l1i_pq);
-        self.pending.clear();
-        for _ in 0..r.get_usize() {
-            let block = Self::load_block(r);
-            let ready = r.get_u64();
-            self.pending.push(PendingPf { block, ready });
-        }
-        Self::restore_queue(r, &mut self.decode_q);
-        self.decode_progress = r.get_u32();
-        self.trigger_seq = r.get_u64();
-        self.recent_triggers.clear();
-        for _ in 0..r.get_usize() {
-            self.recent_triggers.push_back(r.get_u64());
-        }
-        r.check(0x7cb1);
+impl Field for PendingPf {
+    fn sync_state(&mut self, io: &mut StateIo) {
+        io.v(&mut self.block);
+        io.v(&mut self.ready);
     }
 }
 

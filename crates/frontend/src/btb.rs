@@ -185,31 +185,16 @@ impl Btb {
         self.cfg.total_entries as u64 * 54
     }
 
-    /// Serializes the mutable state (slots and LRU stamp).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.slots.len());
-        for s in &self.slots {
-            w.put_bool(s.valid);
-            w.put_u32(s.tag);
-            w.put_addr(s.target);
-            w.put_u8(s.class.code());
-            w.put_u64(s.lru);
-        }
-        w.put_u64(self.stamp);
-    }
-
-    /// Restores state written by [`Btb::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.slots.len(), "BTB geometry mismatch");
-        for s in &mut self.slots {
-            s.valid = r.get_bool();
-            s.tag = r.get_u32();
-            s.target = r.get_addr();
-            s.class = BranchClass::from_code(r.get_u8());
-            s.lru = r.get_u64();
-        }
-        self.stamp = r.get_u64();
+    /// Checkpoint layout: slots and LRU stamp.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.table(&mut self.slots, "BTB geometry", |io, s| {
+            io.v(&mut s.valid);
+            io.v(&mut s.tag);
+            io.v(&mut s.target);
+            io.choice(&mut s.class, &BranchClass::ALL, "branch class");
+            io.v(&mut s.lru);
+        });
+        io.v(&mut self.stamp);
     }
 }
 

@@ -97,6 +97,15 @@ impl<T> BoundedQueue<T> {
     }
 }
 
+impl<T: sim_isa::Field + Default> BoundedQueue<T> {
+    /// Checkpoint layout: the items, oldest first. A load that overflows
+    /// the capacity panics ("`what` mismatch").
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo, what: &str) {
+        io.v(&mut self.q);
+        assert!(self.q.len() <= self.cap, "{what} mismatch");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

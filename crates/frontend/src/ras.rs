@@ -17,7 +17,7 @@ pub struct Ras {
 }
 
 /// A RAS checkpoint (pointer + top entry).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RasCheckpoint {
     sp: usize,
     depth: usize,
@@ -119,43 +119,20 @@ impl Ras {
         self.entries.len() as u64 * 32
     }
 
-    /// Serializes the full stack contents and pointers.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.entries.len());
-        for &a in &self.entries {
-            w.put_addr(a);
-        }
-        w.put_usize(self.sp);
-        w.put_usize(self.depth);
-    }
-
-    /// Restores state written by [`Ras::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.entries.len(), "RAS capacity mismatch");
-        for a in &mut self.entries {
-            *a = r.get_addr();
-        }
-        self.sp = r.get_usize();
-        self.depth = r.get_usize();
+    /// Checkpoint layout: stack contents and pointers.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.table(&mut self.entries, "RAS capacity", |io, a| io.v(a));
+        io.v(&mut self.sp);
+        io.v(&mut self.depth);
     }
 }
 
-impl RasCheckpoint {
-    /// Serializes a checkpoint held by an in-flight branch record.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.sp);
-        w.put_usize(self.depth);
-        w.put_addr(self.top);
-    }
-
-    /// Decodes a checkpoint written by [`RasCheckpoint::save_state`].
-    pub fn load_state(r: &mut sim_isa::StateReader) -> Self {
-        RasCheckpoint {
-            sp: r.get_usize(),
-            depth: r.get_usize(),
-            top: r.get_addr(),
-        }
+/// Checkpoint layout of a checkpoint held by an in-flight branch record.
+impl sim_isa::Field for RasCheckpoint {
+    fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.v(&mut self.sp);
+        io.v(&mut self.depth);
+        io.v(&mut self.top);
     }
 }
 

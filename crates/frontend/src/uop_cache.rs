@@ -343,36 +343,19 @@ impl UopCache {
         self.slots.iter().filter(|s| s.valid).count()
     }
 
-    /// Serializes the mutable state (slots and LRU stamp). The statistics
-    /// live in the telemetry registry, which is checkpointed on its own.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.slots.len());
-        for s in &self.slots {
-            w.put_bool(s.valid);
-            w.put_addr(s.start);
-            w.put_u8(s.num_uops);
-            w.put_u64(s.lru);
-            w.put_bool(s.prefetched);
-            w.put_bool(s.used);
-            w.put_u64(s.trigger);
-        }
-        w.put_u64(self.stamp);
-    }
-
-    /// Restores state written by [`UopCache::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.slots.len(), "uop-cache geometry mismatch");
-        for s in &mut self.slots {
-            s.valid = r.get_bool();
-            s.start = r.get_addr();
-            s.num_uops = r.get_u8();
-            s.lru = r.get_u64();
-            s.prefetched = r.get_bool();
-            s.used = r.get_bool();
-            s.trigger = r.get_u64();
-        }
-        self.stamp = r.get_u64();
+    /// Checkpoint layout: slots and LRU stamp. The statistics live in the
+    /// telemetry registry, which is checkpointed on its own.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.table(&mut self.slots, "uop-cache geometry", |io, s| {
+            io.v(&mut s.valid);
+            io.v(&mut s.start);
+            io.v(&mut s.num_uops);
+            io.v(&mut s.lru);
+            io.v(&mut s.prefetched);
+            io.v(&mut s.used);
+            io.v(&mut s.trigger);
+        });
+        io.v(&mut self.stamp);
     }
 }
 

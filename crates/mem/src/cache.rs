@@ -188,29 +188,15 @@ impl SetAssocCache {
         self.lines.iter().filter(|l| l.valid).count()
     }
 
-    /// Serializes the mutable state (lines and LRU stamp).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.lines.len());
-        for l in &self.lines {
-            w.put_u64(l.tag);
-            w.put_bool(l.valid);
-            w.put_u64(l.lru);
-            w.put_u64(l.ready);
-        }
-        w.put_u64(self.stamp);
-    }
-
-    /// Restores state written by [`SetAssocCache::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.lines.len(), "cache geometry mismatch");
-        for l in &mut self.lines {
-            l.tag = r.get_u64();
-            l.valid = r.get_bool();
-            l.lru = r.get_u64();
-            l.ready = r.get_u64();
-        }
-        self.stamp = r.get_u64();
+    /// Checkpoint layout: lines and LRU stamp.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.table(&mut self.lines, "cache geometry", |io, l| {
+            io.v(&mut l.tag);
+            io.v(&mut l.valid);
+            io.v(&mut l.lru);
+            io.v(&mut l.ready);
+        });
+        io.v(&mut self.stamp);
     }
 }
 

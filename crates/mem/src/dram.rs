@@ -79,23 +79,9 @@ impl Dram {
         done
     }
 
-    /// Serializes the mutable state (bank busy/open-row).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.banks.len());
-        for &(busy, row) in &self.banks {
-            w.put_u64(busy);
-            w.put_u64(row);
-        }
-    }
-
-    /// Restores state written by [`Dram::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.banks.len(), "DRAM bank-count mismatch");
-        for b in &mut self.banks {
-            b.0 = r.get_u64();
-            b.1 = r.get_u64();
-        }
+    /// Checkpoint layout: bank busy/open-row.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.table(&mut self.banks, "DRAM bank-count", |io, b| io.v(b));
     }
 }
 

@@ -378,34 +378,20 @@ impl Hierarchy {
         self.l1i.probe(addr)
     }
 
-    /// Serializes the whole hierarchy (caches, MSHRs, TLBs, DRAM).
-    /// Telemetry handles are rebound via [`Hierarchy::attach_telemetry`],
-    /// not checkpointed.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        self.l1i.save_state(w);
-        self.l1d.save_state(w);
-        self.l2.save_state(w);
-        self.llc.save_state(w);
-        self.l1i_mshr.save_state(w);
-        self.l1d_mshr.save_state(w);
-        self.itlb.save_state(w);
-        self.dtlb.save_state(w);
-        self.stlb.save_state(w);
-        self.dram.save_state(w);
-    }
-
-    /// Restores state written by [`Hierarchy::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        self.l1i.restore_state(r);
-        self.l1d.restore_state(r);
-        self.l2.restore_state(r);
-        self.llc.restore_state(r);
-        self.l1i_mshr.restore_state(r);
-        self.l1d_mshr.restore_state(r);
-        self.itlb.restore_state(r);
-        self.dtlb.restore_state(r);
-        self.stlb.restore_state(r);
-        self.dram.restore_state(r);
+    /// Checkpoint layout of the whole hierarchy (caches, MSHRs, TLBs,
+    /// DRAM). Telemetry handles are rebound via
+    /// [`Hierarchy::attach_telemetry`], not checkpointed.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        self.l1i.sync_state(io);
+        self.l1d.sync_state(io);
+        self.l2.sync_state(io);
+        self.llc.sync_state(io);
+        self.l1i_mshr.sync_state(io);
+        self.l1d_mshr.sync_state(io);
+        self.itlb.sync_state(io);
+        self.dtlb.sync_state(io);
+        self.stlb.sync_state(io);
+        self.dram.sync_state(io);
     }
 }
 

@@ -66,28 +66,14 @@ impl Mshr {
         self.entries.len() >= self.capacity
     }
 
-    /// Serializes the outstanding entries.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.capacity);
-        w.put_usize(self.entries.len());
-        for &(line, ready) in &self.entries {
-            w.put_u64(line);
-            w.put_u64(ready);
-        }
-    }
-
-    /// Restores state written by [`Mshr::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let cap = r.get_usize();
-        assert_eq!(cap, self.capacity, "MSHR capacity mismatch");
-        let n = r.get_usize();
-        assert!(n <= cap, "MSHR occupancy exceeds capacity");
-        self.entries.clear();
-        for _ in 0..n {
-            let line = r.get_u64();
-            let ready = r.get_u64();
-            self.entries.push((line, ready));
-        }
+    /// Checkpoint layout: capacity, then the outstanding entries.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.geometry(self.capacity, "MSHR capacity");
+        io.v(&mut self.entries);
+        assert!(
+            self.entries.len() <= self.capacity,
+            "MSHR occupancy exceeds capacity"
+        );
     }
 }
 

@@ -87,14 +87,9 @@ impl Tlb {
         self.inner.fill(Self::page_key(addr), 0);
     }
 
-    /// Serializes the mutable state (delegates to the inner cache).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        self.inner.save_state(w);
-    }
-
-    /// Restores state written by [`Tlb::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        self.inner.restore_state(r);
+    /// Checkpoint layout: the inner cache's.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        self.inner.sync_state(io);
     }
 }
 

@@ -158,53 +158,18 @@ impl InstPrefetcher for DJolt {
         self.tele.attach(telemetry);
     }
 
-    fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        for table in [&self.long, &self.short, &self.next_miss] {
-            w.put_usize(table.len());
-            for e in table.iter() {
-                w.put_u16(e.tag);
-                w.put_u64(e.target);
-                w.put_bool(e.valid);
-            }
-        }
-        w.put_usize(self.miss_hist.len());
-        for &l in &self.miss_hist {
-            w.put_u64(l);
-        }
-        w.put_usize(self.sig_hist.len());
-        for &s in &self.sig_hist {
-            w.put_u64(s);
-        }
-        w.put_u64(self.sig);
-        w.put_usize(self.pending.len());
-        for &a in &self.pending {
-            w.put_addr(a);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
+    fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
         for table in [&mut self.long, &mut self.short, &mut self.next_miss] {
-            let n = r.get_usize();
-            assert_eq!(n, table.len(), "D-JOLT table geometry mismatch");
-            for e in table.iter_mut() {
-                e.tag = r.get_u16();
-                e.target = r.get_u64();
-                e.valid = r.get_bool();
-            }
+            io.table(table, "D-JOLT table geometry", |io, e| {
+                io.v(&mut e.tag);
+                io.v(&mut e.target);
+                io.v(&mut e.valid);
+            });
         }
-        self.miss_hist.clear();
-        for _ in 0..r.get_usize() {
-            self.miss_hist.push_back(r.get_u64());
-        }
-        self.sig_hist.clear();
-        for _ in 0..r.get_usize() {
-            self.sig_hist.push_back(r.get_u64());
-        }
-        self.sig = r.get_u64();
-        self.pending.clear();
-        for _ in 0..r.get_usize() {
-            self.pending.push(r.get_addr());
-        }
+        io.v(&mut self.miss_hist);
+        io.v(&mut self.sig_hist);
+        io.v(&mut self.sig);
+        io.v(&mut self.pending);
     }
 
     fn drain(&mut self, out: &mut Vec<Addr>) {

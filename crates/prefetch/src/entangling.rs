@@ -162,60 +162,16 @@ impl InstPrefetcher for Entangling {
         self.tele.attach(telemetry);
     }
 
-    fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.table.len());
-        for e in &self.table {
-            w.put_u16(e.tag);
-            w.put_bool(e.valid);
-            w.put_usize(e.dests.len());
-            for &d in &e.dests {
-                w.put_u64(d);
-            }
-        }
-        w.put_usize(self.recent.len());
-        for &l in &self.recent {
-            w.put_u64(l);
-        }
-        w.put_usize(self.speculative_training.len());
-        for &(i, dst, tick) in &self.speculative_training {
-            w.put_usize(i);
-            w.put_u64(dst);
-            w.put_u64(tick);
-        }
-        w.put_u64(self.ticks);
-        w.put_usize(self.pending.len());
-        for &a in &self.pending {
-            w.put_addr(a);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.table.len(), "entangling table geometry mismatch");
-        for e in &mut self.table {
-            e.tag = r.get_u16();
-            e.valid = r.get_bool();
-            e.dests.clear();
-            for _ in 0..r.get_usize() {
-                e.dests.push(r.get_u64());
-            }
-        }
-        self.recent.clear();
-        for _ in 0..r.get_usize() {
-            self.recent.push_back(r.get_u64());
-        }
-        self.speculative_training.clear();
-        for _ in 0..r.get_usize() {
-            let i = r.get_usize();
-            let dst = r.get_u64();
-            let tick = r.get_u64();
-            self.speculative_training.push((i, dst, tick));
-        }
-        self.ticks = r.get_u64();
-        self.pending.clear();
-        for _ in 0..r.get_usize() {
-            self.pending.push(r.get_addr());
-        }
+    fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.table(&mut self.table, "entangling table geometry", |io, e| {
+            io.v(&mut e.tag);
+            io.v(&mut e.valid);
+            io.v(&mut e.dests);
+        });
+        io.v(&mut self.recent);
+        io.v(&mut self.speculative_training);
+        io.v(&mut self.ticks);
+        io.v(&mut self.pending);
     }
 
     fn drain(&mut self, out: &mut Vec<Addr>) {

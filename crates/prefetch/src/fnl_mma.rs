@@ -204,64 +204,22 @@ impl InstPrefetcher for FnlMma {
         self.tele.attach(telemetry);
     }
 
-    fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.fnl.len());
-        for e in &self.fnl {
-            w.put_u16(e.tag);
-            w.put_u8(e.footprint);
-            w.put_bool(e.valid);
-        }
-        for table in [&self.mma, &self.mma2] {
-            w.put_usize(table.len());
-            for e in table.iter() {
-                w.put_u16(e.tag);
-                w.put_u64(e.target);
-                w.put_bool(e.valid);
-            }
-        }
-        w.put_usize(self.recent.len());
-        for &l in &self.recent {
-            w.put_u64(l);
-        }
-        w.put_usize(self.miss_hist.len());
-        for &l in &self.miss_hist {
-            w.put_u64(l);
-        }
-        w.put_usize(self.pending.len());
-        for &a in &self.pending {
-            w.put_addr(a);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let nf = r.get_usize();
-        assert_eq!(nf, self.fnl.len(), "FNL table geometry mismatch");
-        for e in &mut self.fnl {
-            e.tag = r.get_u16();
-            e.footprint = r.get_u8();
-            e.valid = r.get_bool();
-        }
+    fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.table(&mut self.fnl, "FNL table geometry", |io, e| {
+            io.v(&mut e.tag);
+            io.v(&mut e.footprint);
+            io.v(&mut e.valid);
+        });
         for table in [&mut self.mma, &mut self.mma2] {
-            let nm = r.get_usize();
-            assert_eq!(nm, table.len(), "MMA table geometry mismatch");
-            for e in table.iter_mut() {
-                e.tag = r.get_u16();
-                e.target = r.get_u64();
-                e.valid = r.get_bool();
-            }
+            io.table(table, "MMA table geometry", |io, e| {
+                io.v(&mut e.tag);
+                io.v(&mut e.target);
+                io.v(&mut e.valid);
+            });
         }
-        self.recent.clear();
-        for _ in 0..r.get_usize() {
-            self.recent.push_back(r.get_u64());
-        }
-        self.miss_hist.clear();
-        for _ in 0..r.get_usize() {
-            self.miss_hist.push_back(r.get_u64());
-        }
-        self.pending.clear();
-        for _ in 0..r.get_usize() {
-            self.pending.push(r.get_addr());
-        }
+        io.v(&mut self.recent);
+        io.v(&mut self.miss_hist);
+        io.v(&mut self.pending);
     }
 
     fn drain(&mut self, out: &mut Vec<Addr>) {

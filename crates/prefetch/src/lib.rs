@@ -63,13 +63,9 @@ pub trait InstPrefetcher: Send + std::fmt::Debug {
     /// Stateless prefetchers keep the default no-op.
     fn attach_telemetry(&mut self, _telemetry: &Telemetry) {}
 
-    /// Serializes the prefetcher's mutable state into a checkpoint.
-    /// Stateless prefetchers keep the default no-op; stateful ones must
-    /// override both this and [`InstPrefetcher::restore_state`].
-    fn save_state(&self, _w: &mut sim_isa::StateWriter) {}
-
-    /// Restores state written by [`InstPrefetcher::save_state`].
-    fn restore_state(&mut self, _r: &mut sim_isa::StateReader) {}
+    /// Checkpoint layout of the prefetcher's mutable state. Stateless
+    /// prefetchers keep the default no-op.
+    fn sync_state(&mut self, _io: &mut sim_isa::StateIo) {}
 
     /// Moves pending prefetch candidates (line addresses) into `out`.
     fn drain(&mut self, out: &mut Vec<Addr>);
@@ -145,19 +141,8 @@ impl InstPrefetcher for NextLine {
         self.tele.attach(telemetry);
     }
 
-    fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.pending.len());
-        for &a in &self.pending {
-            w.put_addr(a);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        self.pending.clear();
-        for _ in 0..n {
-            self.pending.push(r.get_addr());
-        }
+    fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.v(&mut self.pending);
     }
 
     fn drain(&mut self, out: &mut Vec<Addr>) {

@@ -137,34 +137,20 @@ impl Mrc {
         self.storage_bits() as f64 / 8192.0
     }
 
-    /// Serializes the mutable state (slots and fill pointer).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.slots.len());
-        for s in &self.slots {
-            w.put_addr(s.tag);
-            w.put_bool(s.valid);
-            w.put_u8(s.filled);
-            w.put_u64(s.lru);
-        }
-        w.put_u64(self.stamp);
-        w.put_bool(self.filling.is_some());
-        w.put_usize(self.filling.unwrap_or(0));
-    }
-
-    /// Restores state written by [`Mrc::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.slots.len(), "MRC geometry mismatch");
-        for s in &mut self.slots {
-            s.tag = r.get_addr();
-            s.valid = r.get_bool();
-            s.filled = r.get_u8();
-            s.lru = r.get_u64();
-        }
-        self.stamp = r.get_u64();
-        let has_filling = r.get_bool();
-        let filling = r.get_usize();
-        self.filling = has_filling.then_some(filling);
+    /// Checkpoint layout: slots, LRU stamp and fill pointer (a presence
+    /// byte, then the slot index or 0).
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        io.table(&mut self.slots, "MRC geometry", |io, s| {
+            io.v(&mut s.tag);
+            io.v(&mut s.valid);
+            io.v(&mut s.filled);
+            io.v(&mut s.lru);
+        });
+        io.v(&mut self.stamp);
+        let (mut filling, mut slot) = (self.filling.is_some(), self.filling.unwrap_or(0));
+        io.v(&mut filling);
+        io.v(&mut slot);
+        self.filling = filling.then_some(slot);
     }
 }
 

@@ -56,36 +56,15 @@ impl BranchClass {
         !matches!(self, BranchClass::CondDirect)
     }
 
-    /// Stable byte encoding used by checkpoint serialization.
-    #[inline]
-    pub const fn code(self) -> u8 {
-        match self {
-            BranchClass::CondDirect => 0,
-            BranchClass::UncondDirect => 1,
-            BranchClass::Call => 2,
-            BranchClass::IndirectJump => 3,
-            BranchClass::IndirectCall => 4,
-            BranchClass::Return => 5,
-        }
-    }
-
-    /// Inverse of [`BranchClass::code`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown byte (checkpoint corruption).
-    #[inline]
-    pub fn from_code(b: u8) -> Self {
-        match b {
-            0 => BranchClass::CondDirect,
-            1 => BranchClass::UncondDirect,
-            2 => BranchClass::Call,
-            3 => BranchClass::IndirectJump,
-            4 => BranchClass::IndirectCall,
-            5 => BranchClass::Return,
-            _ => panic!("checkpoint state corrupt: branch class {b}"),
-        }
-    }
+    /// Every class, in checkpoint-code order.
+    pub const ALL: [BranchClass; 6] = [
+        BranchClass::CondDirect,
+        BranchClass::UncondDirect,
+        BranchClass::Call,
+        BranchClass::IndirectJump,
+        BranchClass::IndirectCall,
+        BranchClass::Return,
+    ];
 }
 
 /// The operation performed by a [`StaticInst`].

@@ -235,56 +235,20 @@ impl<'p> Oracle<'p> {
         }
     }
 
-    /// Serializes the full behavioural state. The program and seed are
-    /// reconstruction parameters, not state; restore requires an oracle
-    /// built over the same program with the same seed.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_u64(self.seed);
-        w.put_addr(self.pc);
-        w.put_usize(self.occ.len());
-        for &o in &self.occ {
-            w.put_u64(o);
-        }
-        for &b in &self.last_outcome {
-            w.put_bool(b);
-        }
-        for &i in &self.loop_iter {
-            w.put_u32(i);
-        }
-        for &e in &self.loop_exits {
-            w.put_u32(e);
-        }
-        w.put_usize(self.call_stack.len());
-        for &a in &self.call_stack {
-            w.put_addr(a);
-        }
-        w.put_u64(self.retired);
-    }
-
-    /// Restores state written by [`Oracle::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let seed = r.get_u64();
+    /// Checkpoint layout of the full behavioural state. The program and
+    /// seed are reconstruction parameters, not state; a load requires an
+    /// oracle built over the same program with the same seed.
+    pub fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
+        let mut seed = self.seed;
+        io.v(&mut seed);
         assert_eq!(seed, self.seed, "oracle seed mismatch");
-        self.pc = r.get_addr();
-        let n = r.get_usize();
-        assert_eq!(n, self.occ.len(), "oracle program-length mismatch");
-        for o in &mut self.occ {
-            *o = r.get_u64();
-        }
-        for b in &mut self.last_outcome {
-            *b = r.get_bool();
-        }
-        for i in &mut self.loop_iter {
-            *i = r.get_u32();
-        }
-        for e in &mut self.loop_exits {
-            *e = r.get_u32();
-        }
-        self.call_stack.clear();
-        for _ in 0..r.get_usize() {
-            self.call_stack.push(r.get_addr());
-        }
-        self.retired = r.get_u64();
+        io.v(&mut self.pc);
+        io.table(&mut self.occ, "oracle program-length", |io, o| io.v(o));
+        io.each(&mut self.last_outcome);
+        io.each(&mut self.loop_iter);
+        io.each(&mut self.loop_exits);
+        io.v(&mut self.call_stack);
+        io.v(&mut self.retired);
     }
 }
 
