@@ -1855,12 +1855,15 @@ impl<'p> Simulator<'p> {
         // (a load rebuilds the instructions from the program).
         self.oracle.sync_state(io);
         io.v(&mut self.stream_base);
-        let mut stream: Vec<_> = (self.stream.iter())
+        let mut stream: Vec<_> = self
+            .stream
+            .iter()
             .map(|d| (d.pc, d.next_pc, d.taken, d.mem_addr))
             .collect();
         io.v(&mut stream);
         if io.is_load() {
-            self.stream = (stream.into_iter())
+            self.stream = stream
+                .into_iter()
                 .map(|(pc, next_pc, taken, mem_addr)| DynInst {
                     pc,
                     inst: *self
@@ -1883,8 +1886,11 @@ impl<'p> Simulator<'p> {
         self.ras.sync_state(io);
         io.mark(0x5349_4d31);
         // µ-op cache, memory hierarchy, prefetchers, UCP engine.
-        let uc = self.uop_cache.as_mut();
-        io.optional(uc, "µ-op cache configuration", |io, uc| uc.sync_state(io));
+        io.optional(
+            self.uop_cache.as_mut(),
+            "µ-op cache configuration",
+            |io, uc| uc.sync_state(io),
+        );
         self.hier.sync_state(io);
         self.prefetcher.sync_state(io);
         self.prefetch_pq.sync_state(io, "prefetch queue geometry");
@@ -1936,7 +1942,7 @@ impl<'p> Simulator<'p> {
         // both go through their JSON form, whose order is already stable.
         let mut snap = self.tele.handle.registry.snapshot();
         sync_json(io, &mut snap, "registry snapshot");
-        let what = "interval sampler configuration (UCP_INTERVAL must match the checkpointed run)";
+        let what = "interval sampler configuration (UCP_INTERVAL)";
         io.optional(self.sampler.as_mut(), what, |io, s| {
             let mut st = s.export_state();
             sync_json(io, &mut st, "sampler state");
