@@ -18,11 +18,11 @@
 //!
 //! Environment: `UCP_TRACE` selects categories (default `all` here —
 //! unlike the simulator library, this tool exists to trace);
-//! `UCP_TRACE_BUF` sets the ring-buffer capacity; `UCP_SIM_WARMUP` /
-//! `UCP_SIM_INSTRUCTIONS` override run lengths.
+//! `UCP_TRACE_BUF` sets the ring-buffer capacity. Runs use the quick
+//! profile's lengths (200 k warm-up + 800 k measured instructions).
 
 use ucp_bench::Profile;
-use ucp_core::{run_lengths, SimConfig, Simulator};
+use ucp_core::{SimConfig, Simulator};
 use ucp_telemetry::{
     snapshot_table, to_chrome_trace, to_chrome_trace_with_counters, to_jsonl, IntervalSampler,
     Telemetry,
@@ -63,7 +63,7 @@ fn main() {
         .unwrap_or(65536);
     let telemetry = Telemetry::with_trace(&categories, capacity);
 
-    let (warmup, measure) = run_lengths(0.2);
+    let (warmup, measure) = Profile::Quick.lengths();
     let cfg = SimConfig::ucp();
     let prog = spec.build();
     let mut sim = Simulator::with_telemetry(&prog, spec.seed, &cfg, telemetry.clone());

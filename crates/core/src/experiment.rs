@@ -18,31 +18,6 @@ use ucp_telemetry::IntervalSampler;
 use ucp_telemetry::RegistrySnapshot;
 use ucp_workloads::WorkloadSpec;
 
-/// Default warm-up instructions per run (the paper uses 50 M on 100 M-inst
-/// traces; synthetic workloads reach steady state much sooner — see
-/// DESIGN.md §1).
-pub const DEFAULT_WARMUP: u64 = 1_000_000;
-
-/// Default measured instructions per run.
-pub const DEFAULT_MEASURE: u64 = 4_000_000;
-
-/// Reads run length overrides from the environment
-/// (`UCP_SIM_WARMUP`, `UCP_SIM_INSTRUCTIONS`), falling back to the
-/// defaults scaled by `scale`.
-pub fn run_lengths(scale: f64) -> (u64, u64) {
-    let warmup = std::env::var("UCP_SIM_WARMUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or((DEFAULT_WARMUP as f64 * scale) as u64)
-        .max(10_000);
-    let measure = std::env::var("UCP_SIM_INSTRUCTIONS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or((DEFAULT_MEASURE as f64 * scale) as u64)
-        .max(10_000);
-    (warmup, measure)
-}
-
 /// Per-workload persistence hook for [`run_suite_outcome`]: invoked from
 /// the worker thread with the workload's suite index and result as soon
 /// as it completes.
@@ -700,13 +675,5 @@ mod tests {
             vec![1],
             "only fresh work persisted"
         );
-    }
-
-    #[test]
-    fn run_lengths_env_override() {
-        // No env set in tests: defaults scale.
-        let (w, m) = run_lengths(0.5);
-        assert_eq!(w, DEFAULT_WARMUP / 2);
-        assert_eq!(m, DEFAULT_MEASURE / 2);
     }
 }
