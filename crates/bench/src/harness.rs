@@ -1,9 +1,8 @@
 //! Shared harness plumbing: profiles, the fault-isolated resumable
-//! result cache, host-side self-profiling, and formatting.
+//! result cache, and formatting.
 
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 use ucp_core::{run_suite_outcome, RunResult, SimConfig, SimError, SuiteOptions};
 use ucp_telemetry::envelope::{fnv1a, quarantine, read_envelope, write_envelope, CacheReadError};
 use ucp_telemetry::fault::global_plan;
@@ -484,81 +483,6 @@ pub fn check_accounting(results: &[RunResult]) -> Vec<String> {
     bad
 }
 
-/// Host-side self-profiling for one harness phase: wall-clock time next to
-/// the simulated volume it covered, so runs report simulation throughput
-/// (simulated MIPS) alongside simulated results.
-#[derive(Clone, Debug)]
-pub struct HostPhase {
-    /// Phase label (e.g. a config name).
-    pub name: String,
-    /// Wall-clock seconds spent in the phase.
-    pub wall_seconds: f64,
-    /// Simulated instructions committed during the phase.
-    pub instructions: u64,
-    /// Simulated cycles elapsed during the phase.
-    pub cycles: u64,
-}
-
-impl HostPhase {
-    /// Simulated millions of instructions per wall-clock second.
-    pub fn mips(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            0.0
-        } else {
-            self.instructions as f64 / 1e6 / self.wall_seconds
-        }
-    }
-}
-
-/// Runs `cfg` over the profile's suite with the host-side wall clock
-/// running — always uncached, since a cache hit would time disk I/O
-/// instead of simulation. The returned [`HostPhase`] sums the measured
-/// windows of every *successful* workload; failures degrade the
-/// [`SuiteRun`] as in [`cached_suite_run`].
-pub fn profiled_suite_run(name: &str, cfg: &SimConfig, profile: Profile) -> (SuiteRun, HostPhase) {
-    let suite = profile.suite();
-    let (warmup, measure) = profile.lengths();
-    let t0 = Instant::now();
-    let outcome = run_suite_outcome(
-        &suite,
-        cfg,
-        warmup,
-        measure,
-        &ucp_core::SuiteOptions::default(),
-        None,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    let total = outcome.total();
-    let mut results = Vec::new();
-    let mut failures = Vec::new();
-    for o in outcome.outcomes {
-        match o.outcome {
-            Ok(r) => results.push(r),
-            Err(e) => {
-                eprintln!("warning: workload `{}` failed: {e}", o.workload);
-                failures.push((o.workload, e));
-            }
-        }
-    }
-    let run = SuiteRun {
-        results,
-        failures,
-        total,
-        resumed: 0,
-    };
-    let phase = HostPhase {
-        name: name.to_string(),
-        wall_seconds,
-        instructions: run.iter().map(|r| r.stats.instructions).sum(),
-        cycles: run.iter().map(|r| r.stats.cycles).sum(),
-    };
-    (run, phase)
-}
-
 /// Renders a per-workload stall-breakdown table: one row per workload with
 /// the percentage of measured cycles charged to each category, plus an
 /// aggregate row. Category columns are ordered by the aggregate's largest
@@ -813,21 +737,5 @@ mod tests {
         assert!(dir.join("e2.json.quarantined.0").exists(), "newest kept");
         assert!(dir.join("abcd.json").exists(), "combined entries untouched");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn host_phase_mips() {
-        let p = HostPhase {
-            name: "x".into(),
-            wall_seconds: 2.0,
-            instructions: 8_000_000,
-            cycles: 1,
-        };
-        assert_eq!(p.mips(), 4.0);
-        let z = HostPhase {
-            wall_seconds: 0.0,
-            ..p
-        };
-        assert_eq!(z.mips(), 0.0);
     }
 }

@@ -33,7 +33,7 @@ pub mod figs;
 pub mod harness;
 
 pub use harness::{
-    cached_suite_run, check_accounting, merged_telemetry, profiled_suite_run, prune_cache_litter,
-    stall_breakdown_table, suite_breakdown, suite_run_with_cache, try_cached_suite_run, HostPhase,
-    Profile, SuiteRun, MODEL_VERSION,
+    cached_suite_run, check_accounting, merged_telemetry, prune_cache_litter,
+    stall_breakdown_table, suite_breakdown, suite_run_with_cache, try_cached_suite_run, Profile,
+    SuiteRun, MODEL_VERSION,
 };
