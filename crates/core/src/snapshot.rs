@@ -2,10 +2,11 @@
 //!
 //! A checkpoint is the *complete* mutable state of a [`crate::Simulator`]
 //! — pipeline, predictors, µ-op cache, UCP engine, memory hierarchy,
-//! statistics and telemetry — serialized by one [`sim_isa::StateIo`] pass
-//! (`Simulator::sync_state`) and wrapped in the result cache's integrity envelope (checksummed
-//! header + atomic rename), so a torn or corrupted checkpoint is detected
-//! on read and quarantined rather than silently restored.
+//! statistics and telemetry — serialized by one [`sim_isa::StateIo`]
+//! save pass (`Simulator::sync_state`) and wrapped in the result cache's
+//! integrity envelope (checksummed header + atomic rename), so a torn or
+//! corrupted checkpoint is detected on read and quarantined rather than
+//! silently restored.
 //!
 //! File layout inside the envelope payload:
 //!

@@ -40,12 +40,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Append-only encoder: the save backend.
-#[derive(Debug, Default)]
-struct StateWriter {
-    buf: Vec<u8>,
-}
-
 /// Decoder over checkpoint bytes: the load backend.
 #[derive(Debug)]
 struct StateReader<'a> {
@@ -73,7 +67,8 @@ impl<'a> StateReader<'a> {
 
 #[derive(Debug)]
 enum Backend<'a> {
-    Save(StateWriter),
+    /// The bytes saved so far.
+    Save(Vec<u8>),
     Load(StateReader<'a>),
 }
 
@@ -162,7 +157,7 @@ impl Field for String {
     fn sync_state(&mut self, io: &mut StateIo) {
         let n = io.len(self.len());
         match &mut io.0 {
-            Backend::Save(w) => w.buf.extend_from_slice(self.as_bytes()),
+            Backend::Save(buf) => buf.extend_from_slice(self.as_bytes()),
             Backend::Load(r) => {
                 *self = std::str::from_utf8(r.take(n))
                     .expect("checkpoint state corrupt: non-UTF-8 string")
@@ -219,7 +214,7 @@ tuple_fields!((A.0, B.1), (A.0, B.1, C.2), (A.0, B.1, C.2, D.3));
 impl StateIo<'static> {
     /// A save pass: every visited field is appended to a fresh buffer.
     pub fn save() -> Self {
-        StateIo(Backend::Save(StateWriter::default()))
+        StateIo(Backend::Save(Vec::new()))
     }
 }
 
@@ -238,8 +233,8 @@ impl<'a> StateIo<'a> {
     /// Saves `le` and returns it, or returns the next `N` bytes.
     fn raw<const N: usize>(&mut self, le: [u8; N]) -> [u8; N] {
         match &mut self.0 {
-            Backend::Save(w) => {
-                w.buf.extend_from_slice(&le);
+            Backend::Save(buf) => {
+                buf.extend_from_slice(&le);
                 le
             }
             Backend::Load(r) => r.take(N).try_into().expect("took N bytes"),
@@ -307,7 +302,8 @@ impl<'a> StateIo<'a> {
             .iter()
             .position(|x| x == v)
             .expect("the choice list names every variant");
-        let [code] = self.raw([code as u8]);
+        let code = u8::try_from(code).expect("a choice list has at most 256 variants");
+        let [code] = self.raw([code]);
         *v = *all
             .get(usize::from(code))
             .unwrap_or_else(|| panic!("checkpoint state corrupt: {what} {code}"));
@@ -333,7 +329,7 @@ impl<'a> StateIo<'a> {
     /// Panics on a load pass.
     pub fn into_bytes(self) -> Vec<u8> {
         match self.0 {
-            Backend::Save(w) => w.buf,
+            Backend::Save(buf) => buf,
             Backend::Load(_) => panic!("into_bytes on a load pass"),
         }
     }
