@@ -11,7 +11,7 @@
 //!   (<https://ui.perfetto.dev>) or `chrome://tracing`. Default
 //!   `target/ucp-trace.json`.
 //! - `--counters` — also emit Chrome `C` (counter) events from the
-//!   interval sampler: IPC, µ-op cache hit rate, L1I MPKI, and the
+//!   interval time series: IPC, µ-op cache hit rate, L1I MPKI, and the
 //!   stacked frontend-cycle breakdown render as counter tracks above the
 //!   event rows. Forces a fine sampling interval so short traces still
 //!   chart. Ignored for `.jsonl` output.
@@ -24,8 +24,7 @@
 use ucp_bench::Profile;
 use ucp_core::{SimConfig, Simulator};
 use ucp_telemetry::{
-    snapshot_table, to_chrome_trace, to_chrome_trace_with_counters, to_jsonl, IntervalSampler,
-    Telemetry,
+    snapshot_table, to_chrome_trace, to_chrome_trace_with_counters, to_jsonl, Telemetry,
 };
 
 fn main() {
@@ -67,10 +66,11 @@ fn main() {
     let cfg = SimConfig::ucp();
     let prog = spec.build();
     let mut sim = Simulator::with_telemetry(&prog, spec.seed, &cfg, telemetry.clone());
+    // ~200 samples over the measured window even on short runs (cycles ≈
+    // instructions at IPC ≈ 1).
+    let interval = (measure / 200).max(100);
     if counters {
-        // ~200 samples over the measured window even on short runs
-        // (cycles ≈ instructions at IPC ≈ 1).
-        sim.set_interval_sampling(Some(IntervalSampler::new((measure / 200).max(100), 4096)));
+        sim.set_interval(Some(interval));
     }
     let out = sim.run_full(warmup, measure).unwrap_or_else(|e| {
         eprintln!("error: {e}");
@@ -102,9 +102,8 @@ fn main() {
     );
     if counters {
         println!(
-            "counter tracks: {} interval samples ({} cycles each)",
-            out.intervals.len(),
-            (measure / 200).max(100)
+            "counter tracks: {} interval samples ({interval} cycles each)",
+            out.intervals.len()
         );
     }
     println!(

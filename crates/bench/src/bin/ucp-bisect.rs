@@ -14,11 +14,9 @@
 //! determinism makes "matches checkpoint k" a prefix property, so the
 //! search localizes the divergence to a single inter-checkpoint window
 //! and dumps the replayed and the recorded machine diagnostics side by
-//! side at its right edge.
-//!
-//! Run it under the *same* environment knobs as the original run —
-//! `UCP_INTERVAL` and `UCP_DIGEST` change what state the machine carries,
-//! so a mismatch there reports as divergence at the first checkpoint.
+//! side at its right edge. The interval and digest cadences, which shape
+//! the saved state, come from the metadata too, so the environment the
+//! tool runs under does not matter.
 //!
 //! Exit status: 0 when the replay reproduces every checkpoint, 1 when a
 //! divergent window was found, 2 on usage or configuration errors.
@@ -63,35 +61,37 @@ fn load_checkpoints(dir: &Path) -> Vec<Ckpt> {
     out
 }
 
+/// A fresh machine for the run `meta` names: its program, seed and
+/// configuration, and its interval and digest cadences.
+fn machine<'a>(
+    prog: &'a ucp_workloads::Program,
+    cfg: &SimConfig,
+    meta: &CheckpointMeta,
+) -> Simulator<'a> {
+    let mut sim = Simulator::new(prog, meta.seed, cfg);
+    sim.set_interval(meta.interval);
+    sim.set_digest_interval(meta.digest_every);
+    sim
+}
+
 /// A replay that only ever moves forward, rebuilt from scratch whenever
 /// the bisection probes behind its current position.
 struct Replay<'a> {
     prog: &'a ucp_workloads::Program,
-    seed: u64,
     cfg: &'a SimConfig,
-    warmup: u64,
+    meta: &'a CheckpointMeta,
     sim: Option<Simulator<'a>>,
 }
 
 impl<'a> Replay<'a> {
-    fn new(prog: &'a ucp_workloads::Program, seed: u64, cfg: &'a SimConfig, warmup: u64) -> Self {
-        Replay {
-            prog,
-            seed,
-            cfg,
-            warmup,
-            sim: None,
-        }
-    }
-
     fn at(&mut self, target: u64) -> &mut Simulator<'a> {
         if self.sim.as_ref().is_some_and(|s| s.committed() > target) {
             self.sim = None;
         }
         let sim = self
             .sim
-            .get_or_insert_with(|| Simulator::new(self.prog, self.seed, self.cfg));
-        sim.run_to_committed(target, self.warmup)
+            .get_or_insert_with(|| machine(self.prog, self.cfg, self.meta));
+        sim.run_to_committed(target, self.meta.warmup)
             .unwrap_or_else(|e| {
                 eprintln!("error: replay failed at {target} committed: {e}");
                 std::process::exit(2);
@@ -130,7 +130,12 @@ fn main() {
     );
 
     let prog = spec.build();
-    let mut replay = Replay::new(&prog, spec.seed, &cfg, meta0.warmup);
+    let mut replay = Replay {
+        prog: &prog,
+        cfg: &cfg,
+        meta: meta0,
+        sim: None,
+    };
     let matches = |replay: &mut Replay, c: &Ckpt| {
         let sim = replay.at(c.meta.committed);
         sim.state_digest() == c.meta.digest
@@ -173,7 +178,7 @@ fn main() {
     // Side-by-side diagnostics at the window's right edge: the replayed
     // machine vs the recorded one.
     let replayed = replay.at(bad.meta.committed).diagnostics();
-    let mut recorded_sim = Simulator::new(&prog, spec.seed, &cfg);
+    let mut recorded_sim = machine(&prog, &cfg, &bad.meta);
     recorded_sim.restore_from_bytes(&bad.state);
     let recorded = recorded_sim.diagnostics();
     println!("  replayed : {replayed}");

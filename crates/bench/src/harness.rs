@@ -3,10 +3,10 @@
 
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use ucp_core::{run_suite_outcome, RunResult, SimConfig, SimError, SuiteOptions};
+use ucp_core::{digest_from_env, run_suite_outcome, RunResult, SimConfig, SimError, SuiteOptions};
 use ucp_telemetry::envelope::{fnv1a, quarantine, read_envelope, write_envelope, CacheReadError};
 use ucp_telemetry::fault::global_plan;
-use ucp_telemetry::AccountingBreakdown;
+use ucp_telemetry::{interval_from_env, AccountingBreakdown};
 use ucp_workloads::suite::{quick_suite, workload_suite};
 use ucp_workloads::WorkloadSpec;
 
@@ -93,8 +93,11 @@ impl Profile {
 /// v4: every `SimStats` count became a registry counter, so
 /// `RunResult::telemetry` and the interval records carry more paths;
 /// v5: component statistics left the serialized state and in-flight
-/// branch records became a ring, so cached `RunResult::digests` change.)
-pub const MODEL_VERSION: u32 = 5;
+/// branch records became a ring, so cached `RunResult::digests` change;
+/// v6: the measurement window carries the interval series in the
+/// serialized state, so cached digests change, and the key gained the
+/// digest cadence.)
+pub const MODEL_VERSION: u32 = 6;
 
 fn cache_dir() -> PathBuf {
     std::env::var("UCP_RESULT_DIR")
@@ -244,19 +247,18 @@ pub fn suite_run_with_cache(
     use_cache: bool,
 ) -> Result<SuiteRun, SimError> {
     let bad = |detail: String| SimError::BadConfig { detail };
-    // Cached results embed the interval series sampled at whatever
-    // UCP_INTERVAL was active when the cache was populated, so the
-    // effective interval is part of the key (0 = sampling off).
-    let interval = ucp_telemetry::IntervalSampler::from_env()
-        .map_err(bad)?
-        .map_or(0, |s| s.every());
+    // Cached results embed the interval series and the state digests
+    // taken at whatever UCP_INTERVAL and UCP_DIGEST were active when the
+    // cache was populated, so both cadences are part of the key (0 = off).
+    let interval = interval_from_env().map_err(bad)?.unwrap_or(0);
+    let digest = digest_from_env().map_err(bad)?.unwrap_or(0);
     let fault = match opts.fault.clone() {
         Some(p) => Some(p),
         None => global_plan().map_err(bad)?,
     };
     let cfg_json = serde_json::to_string(cfg).expect("config serializes");
     let names: Vec<&str> = suite.iter().map(|s| s.name.as_str()).collect();
-    let key = format!("{cfg_json}|{names:?}|{warmup}|{measure}|iv{interval}");
+    let key = format!("{cfg_json}|{names:?}|{warmup}|{measure}|iv{interval}|dg{digest}");
     let key = format!("{:016x}", fnv1a(key.as_bytes()));
     let combined = dir.join(format!("{key}.json"));
     let partial_dir = dir.join(format!("partial-{key}"));

@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use ucp_telemetry::AccountingBreakdown;
+use ucp_telemetry::{cadence_from_env, AccountingBreakdown};
 
 /// Default hang-watchdog window: cycles without a single retired
 /// instruction before the run is declared hung (`UCP_WATCHDOG`
@@ -27,26 +27,11 @@ pub const DEFAULT_WATCHDOG_CYCLES: u64 = 500_000;
 /// Unparseable values are a hard configuration error, consistent with
 /// `UCP_INTERVAL` and `UCP_FIG_PROFILE`.
 pub fn watchdog_from_env() -> Result<Option<u64>, String> {
-    match std::env::var("UCP_WATCHDOG") {
-        Err(_) => Ok(Some(DEFAULT_WATCHDOG_CYCLES)),
-        Ok(s) => {
-            let s = s.trim().to_ascii_lowercase();
-            if s.is_empty() {
-                Ok(Some(DEFAULT_WATCHDOG_CYCLES))
-            } else if s == "off" {
-                Ok(None)
-            } else {
-                match s.parse::<u64>() {
-                    Ok(0) => Ok(None),
-                    Ok(n) => Ok(Some(n)),
-                    Err(_) => Err(format!(
-                        "UCP_WATCHDOG=`{s}` is not a cycle count; \
-                         expected an integer, `0`, or `off`"
-                    )),
-                }
-            }
-        }
-    }
+    cadence_from_env(
+        "UCP_WATCHDOG",
+        Some(DEFAULT_WATCHDOG_CYCLES),
+        "a cycle count",
+    )
 }
 
 /// Machine state captured at the point of a simulation failure. Attached

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use ucp_telemetry::fault::{global_plan, FaultPlan};
 use ucp_telemetry::interval::IntervalRecord;
-use ucp_telemetry::IntervalSampler;
+use ucp_telemetry::interval_from_env;
 use ucp_telemetry::RegistrySnapshot;
 use ucp_workloads::WorkloadSpec;
 
@@ -142,7 +142,7 @@ const RESEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// [`SimError::BadConfig`] instead of a panic inside a worker thread.
 fn validate_env() -> Result<Option<Arc<FaultPlan>>, SimError> {
     watchdog_from_env().map_err(|detail| SimError::BadConfig { detail })?;
-    IntervalSampler::from_env().map_err(|detail| SimError::BadConfig { detail })?;
+    interval_from_env().map_err(|detail| SimError::BadConfig { detail })?;
     ckpt_from_env().map_err(|detail| SimError::BadConfig { detail })?;
     digest_from_env().map_err(|detail| SimError::BadConfig { detail })?;
     global_plan().map_err(|detail| SimError::BadConfig { detail })

@@ -28,7 +28,7 @@ use crate::config::{PrefetcherKind, SimConfig, UopCacheModel};
 use crate::error::{watchdog_from_env, DiagSnapshot, SimError};
 use crate::snapshot::{
     ckpt_from_env, ckpt_root, digest_from_env, latest_valid_checkpoint, remove_run_checkpoints,
-    run_slug, write_checkpoint, CheckpointMeta, CheckpointPolicy, DigestRecord, CKPT_VERSION,
+    write_checkpoint, CheckpointMeta, CheckpointPolicy, DigestRecord,
 };
 use crate::stats::{paths, CondCounters, SimStats};
 use crate::ucp::UcpEngine;
@@ -44,7 +44,7 @@ use ucp_bpred::{
 use ucp_frontend::{BoundedQueue, Btb, EntryEnd, Ras, RasCheckpoint, UopCache, UopEntrySpec};
 use ucp_mem::{Hierarchy, HitLevel};
 use ucp_prefetch::{DJolt, Entangling, FnlMma, InstPrefetcher, Mrc, NoPrefetch};
-use ucp_telemetry::interval::{IntervalRecord, IntervalSampler, INSTRET_PATH};
+use ucp_telemetry::interval::{interval_from_env, IntervalRecord, INSTRET_PATH};
 use ucp_telemetry::{
     AccountingBreakdown, Category, Counter, CycleAccounting, CycleCause, FaultPlan, Histogram,
     RegistrySnapshot, Telemetry,
@@ -179,32 +179,76 @@ struct UopQEntry {
     rec: Option<u64>,
 }
 
-/// The open measurement window: where it started and the registry
-/// snapshot it is carved from. It lives on the simulator (not on
-/// `run_full`'s stack) so that a checkpoint taken mid-window carries it,
-/// and a restored run closes the window against the *original* baseline —
-/// bit-identical to an uninterrupted run.
-#[derive(Default)]
+/// Interval records a measurement window keeps; once full, the oldest
+/// is dropped for each new one.
+const INTERVAL_CAPACITY: usize = 4096;
+
+/// The open measurement window: where it started, the registry snapshot
+/// it is carved from, and its interval time series. It lives on the
+/// simulator (not on `run_full`'s stack) so that a checkpoint taken
+/// mid-window carries it, and a restored run closes the window and its
+/// intervals against the *original* baselines — bit-identical to an
+/// uninterrupted run.
+#[derive(serde::Serialize, serde::Deserialize)]
 struct MeasureState {
     start_cycle: u64,
     start_committed: u64,
     reg0: RegistrySnapshot,
+    /// Registry snapshot at the last interval boundary.
+    mark: RegistrySnapshot,
+    /// Cycle of the last interval boundary.
+    mark_cycle: u64,
+    /// The newest [`INTERVAL_CAPACITY`] closed intervals, oldest first.
+    intervals: Vec<IntervalRecord>,
+    /// Intervals closed so far, dropped ones included.
+    closed: u64,
+}
+
+impl MeasureState {
+    /// Opens a window at cycle `now` over the registry state `reg0`.
+    fn open(now: u64, committed: u64, reg0: RegistrySnapshot) -> Self {
+        MeasureState {
+            start_cycle: now,
+            start_committed: committed,
+            mark: reg0.clone(),
+            reg0,
+            mark_cycle: now,
+            intervals: Vec::new(),
+            closed: 0,
+        }
+    }
+
+    /// Closes the interval `[mark_cycle, now)` against `snap`, the
+    /// registry state at `now`. A no-op when no cycle has elapsed since
+    /// the last boundary, so a window never ends in an empty record.
+    fn close_interval(&mut self, now: u64, snap: RegistrySnapshot) {
+        if now <= self.mark_cycle {
+            return;
+        }
+        if self.intervals.len() == INTERVAL_CAPACITY {
+            self.intervals.remove(0);
+        }
+        self.intervals.push(IntervalRecord {
+            index: self.closed,
+            start_cycle: self.mark_cycle,
+            end_cycle: now,
+            counters: snap.delta_since(&self.mark).counters,
+        });
+        self.closed += 1;
+        self.mark = snap;
+        self.mark_cycle = now;
+    }
 }
 
 /// An armed checkpoint writer (`UCP_CKPT`): destination directory,
 /// cadence, retention, and the metadata identifying this run's exact
-/// trajectory (embedded in every checkpoint so offline tools can rebuild
-/// the simulation from the file alone).
+/// trajectory (embedded, with its capture point, in every checkpoint so
+/// offline tools can rebuild the simulation from the file alone).
 struct CkptSink {
     dir: PathBuf,
     every: u64,
     keep: usize,
-    workload: String,
-    spec_json: String,
-    cfg_json: String,
-    seed: u64,
-    warmup: u64,
-    measure: u64,
+    run: CheckpointMeta,
     fault: Option<Arc<FaultPlan>>,
 }
 
@@ -324,7 +368,8 @@ pub struct Simulator<'p> {
     last_retired_pc: Option<Addr>,
     measure_state: Option<MeasureState>,
     tele: SimTelemetry,
-    sampler: Option<IntervalSampler>,
+    /// Interval length in cycles (`None` = no interval time series).
+    interval: Option<u64>,
 
     // Checkpointing (`UCP_CKPT`) and the determinism auditor
     // (`UCP_DIGEST`).
@@ -443,7 +488,7 @@ impl<'p> Simulator<'p> {
             // embedding; malformed env knobs are hard errors here. Suite
             // runners validate the environment first and surface
             // `SimError::BadConfig` before any Simulator is built.
-            sampler: IntervalSampler::from_env().unwrap_or_else(|e| panic!("{e}")),
+            interval: interval_from_env().unwrap_or_else(|e| panic!("{e}")),
             ckpt: None,
             last_ckpt_committed: 0,
             digest_every: digest_from_env().unwrap_or_else(|e| panic!("{e}")),
@@ -461,11 +506,11 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Replaces the interval sampler (constructed from `UCP_INTERVAL` by
-    /// default). `None` disables sampling; tools like `trace_dump` pass
-    /// an explicit sampler to force it on.
-    pub fn set_interval_sampling(&mut self, sampler: Option<IntervalSampler>) {
-        self.sampler = sampler;
+    /// Replaces the interval length in cycles (read from `UCP_INTERVAL`
+    /// by default). `None` disables the interval time series; tools like
+    /// `trace_dump` pass an explicit length to force it on.
+    pub fn set_interval(&mut self, cycles: Option<u64>) {
+        self.interval = cycles;
     }
 
     /// Replaces the hang-watchdog window (constructed from `UCP_WATCHDOG`
@@ -490,8 +535,10 @@ impl<'p> Simulator<'p> {
         self.skew_invariant = true;
     }
 
-    /// Captures the machine state for failure diagnostics.
-    fn diag_snapshot(&mut self) -> DiagSnapshot {
+    /// Captures the machine state for failure diagnostics (the
+    /// divergence bisector also dumps a replayed and a recorded machine
+    /// side by side through this).
+    pub fn diagnostics(&mut self) -> DiagSnapshot {
         DiagSnapshot {
             cycle: self.now,
             committed: self.committed,
@@ -517,7 +564,7 @@ impl<'p> Simulator<'p> {
             Some(window) if self.now - self.last_commit_cycle >= window => Err(SimError::Hang {
                 workload: String::new(),
                 window,
-                snapshot: Box::new(self.diag_snapshot()),
+                snapshot: Box::new(self.diagnostics()),
             }),
             _ => Ok(()),
         }
@@ -570,16 +617,13 @@ impl<'p> Simulator<'p> {
             self.step()?;
             self.maybe_checkpoint()?;
         }
-        let ms = self.measure_state.take().expect("measurement window open");
-        let telemetry = self.tele.handle.registry.snapshot().delta_since(&ms.reg0);
+        let mut ms = self.measure_state.take().expect("measurement window open");
+        let snap = self.tele.handle.registry.snapshot();
+        let telemetry = snap.delta_since(&ms.reg0);
         let stats = SimStats::from_window(&telemetry, self.now - ms.start_cycle);
-        let intervals = match self.sampler.take() {
-            Some(mut s) => {
-                s.finish(self.now, &self.tele.handle.registry);
-                s.into_records()
-            }
-            None => Vec::new(),
-        };
+        if self.interval.is_some() {
+            ms.close_interval(self.now, snap);
+        }
         // The charger runs exactly once per cycle, so over the window the
         // categories must tile the measured cycles exactly. A violation
         // here is always an attribution bug, never a workload property.
@@ -607,13 +651,13 @@ impl<'p> Simulator<'p> {
             return Err(SimError::InvariantViolation {
                 workload: String::new(),
                 detail,
-                snapshot: Box::new(self.diag_snapshot()),
+                snapshot: Box::new(self.diagnostics()),
             });
         }
         Ok(RunOutput {
             stats,
             telemetry,
-            intervals,
+            intervals: ms.intervals,
             digests: std::mem::take(&mut self.digests),
         })
     }
@@ -638,9 +682,6 @@ impl<'p> Simulator<'p> {
     /// actual boundary).
     fn begin_measurement(&mut self) {
         let reg0 = self.tele.handle.registry.snapshot();
-        if let Some(s) = self.sampler.as_mut() {
-            s.begin(self.now, &self.tele.handle.registry);
-        }
         if self.skew_invariant {
             // Fault injection: perturb one statistic inside the window, so
             // the determinism auditor's digest stream visibly diverges
@@ -648,11 +689,7 @@ impl<'p> Simulator<'p> {
             // never touches the serialized state).
             self.tele.mode_switches.inc();
         }
-        self.measure_state = Some(MeasureState {
-            start_cycle: self.now,
-            start_committed: self.committed,
-            reg0,
-        });
+        self.measure_state = Some(MeasureState::open(self.now, self.committed, reg0));
     }
 
     /// The materialized correct-path instruction at absolute position `pos`.
@@ -683,8 +720,10 @@ impl<'p> Simulator<'p> {
         self.tele.accounting.charge(self.classify_cycle());
         self.tele.ftq_occupancy.observe(self.ftq.len() as u64);
         self.now += 1;
-        if let Some(s) = self.sampler.as_mut() {
-            s.tick(self.now, &self.tele.handle.registry);
+        if let (Some(every), Some(ms)) = (self.interval, self.measure_state.as_mut()) {
+            if self.now - ms.mark_cycle >= every {
+                ms.close_interval(self.now, self.tele.handle.registry.snapshot());
+            }
         }
         // Livelock detection lives in the run loops (`hang_check`), which
         // report a structured `SimError::Hang` instead of asserting here.
@@ -1664,14 +1703,20 @@ impl<'p> Simulator<'p> {
         policy: CheckpointPolicy,
         fault: Option<Arc<FaultPlan>>,
     ) -> Option<u64> {
-        let spec_json = serde_json::to_string(spec).expect("workload spec serializes");
-        let cfg_json = serde_json::to_string(&self.cfg).expect("sim config serializes");
-        let dir = ckpt_root().join(run_slug(&spec.name, spec.seed, &cfg_json, warmup, measure));
+        let run = CheckpointMeta::for_run(
+            spec,
+            &self.cfg,
+            warmup,
+            measure,
+            self.interval,
+            self.digest_every,
+        );
+        let dir = ckpt_root().join(run.slug());
         let mut resumed = None;
         if let Some((meta, state)) = latest_valid_checkpoint(&dir) {
             // The slug already keys the directory by trajectory; verify
             // anyway — a slug collision must not resume a foreign machine.
-            if meta.spec_json == spec_json && meta.cfg_json == cfg_json && meta.seed == spec.seed {
+            if meta.same_run(&run) {
                 self.restore_from_bytes(&state);
                 self.last_ckpt_committed = meta.committed;
                 eprintln!(
@@ -1690,12 +1735,7 @@ impl<'p> Simulator<'p> {
             dir,
             every: policy.every,
             keep: policy.keep,
-            workload: spec.name.clone(),
-            spec_json,
-            cfg_json,
-            seed: spec.seed,
-            warmup,
-            measure,
+            run,
             fault,
         });
         resumed
@@ -1720,16 +1760,10 @@ impl<'p> Simulator<'p> {
         let state = self.state_bytes();
         let sink = self.ckpt.as_ref().expect("checkpoint sink armed");
         let meta = CheckpointMeta {
-            version: CKPT_VERSION,
-            workload: sink.workload.clone(),
-            spec_json: sink.spec_json.clone(),
-            cfg_json: sink.cfg_json.clone(),
-            seed: sink.seed,
-            warmup: sink.warmup,
-            measure: sink.measure,
             committed: self.committed,
             cycle: self.now,
             digest: fnv1a64(&state),
+            ..sink.run.clone()
         };
         write_checkpoint(&sink.dir, &meta, &state, sink.keep, sink.fault.as_deref())?;
         // Fault injection (`UCP_FAULT=kill:<nth>`): die right after the
@@ -1795,12 +1829,6 @@ impl<'p> Simulator<'p> {
     /// Instructions committed so far (whole run, not the window).
     pub fn committed(&self) -> u64 {
         self.committed
-    }
-
-    /// Public diagnostics capture — the divergence bisector dumps a
-    /// replayed and a recorded machine side by side through this.
-    pub fn diagnostics(&mut self) -> DiagSnapshot {
-        self.diag_snapshot()
     }
 
     /// Runs cycles until `target` committed instructions (whole-run
@@ -1937,19 +1965,19 @@ impl<'p> Simulator<'p> {
         io.v(&mut self.committed);
         io.v(&mut self.last_commit_cycle);
         io.v(&mut self.last_retired_pc);
-        io.v(&mut self.measure_state);
-        // The registry holds every statistic and the sampler its series;
-        // both go through their JSON form, whose order is already stable.
+        // The registry holds every statistic and the window its baselines
+        // and interval series; both go through their JSON form, whose
+        // order is already stable. The interval length shapes the series,
+        // so a load asserts it matches.
         let mut snap = self.tele.handle.registry.snapshot();
         sync_json(io, &mut snap, "registry snapshot");
-        let what = "interval sampler configuration (UCP_INTERVAL)";
-        io.optional(self.sampler.as_mut(), what, |io, s| {
-            let mut st = s.export_state();
-            sync_json(io, &mut st, "sampler state");
-            if io.is_load() {
-                s.import_state(st);
-            }
-        });
+        let mut interval = self.interval;
+        io.v(&mut interval);
+        assert_eq!(
+            interval, self.interval,
+            "interval length (UCP_INTERVAL) mismatch"
+        );
+        sync_json(io, &mut self.measure_state, "measurement window");
         // The determinism auditor.
         io.v(&mut self.last_digest_committed);
         io.v(&mut self.digests);
@@ -2031,10 +2059,50 @@ impl Field for UopQEntry {
     }
 }
 
-impl Field for MeasureState {
-    fn sync_state(&mut self, io: &mut StateIo) {
-        io.v(&mut self.start_cycle);
-        io.v(&mut self.start_committed);
-        sync_json(io, &mut self.reg0, "registry baseline");
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ucp_telemetry::Registry;
+
+    #[test]
+    fn window_keeps_the_newest_intervals() {
+        let reg = Registry::default();
+        let c = reg.counter("x");
+        let mut ms = MeasureState::open(0, 0, reg.snapshot());
+        let n = INTERVAL_CAPACITY as u64 + 5;
+        for cycle in 1..=n {
+            c.inc();
+            ms.close_interval(cycle, reg.snapshot());
+        }
+        assert_eq!(ms.intervals.len(), INTERVAL_CAPACITY);
+        assert_eq!(ms.closed, n);
+        // The five oldest went first; indices keep counting across drops.
+        assert_eq!(ms.intervals[0].index, 5);
+        assert_eq!(ms.intervals[0].start_cycle, 5);
+        for w in ms.intervals.windows(2) {
+            assert_eq!(w[1].index, w[0].index + 1);
+            assert_eq!(w[0].end_cycle, w[1].start_cycle);
+        }
+        assert!(ms.intervals.iter().all(|r| r.counter("x") == 1));
+    }
+
+    #[test]
+    fn window_closing_on_a_boundary_adds_no_empty_record() {
+        let reg = Registry::default();
+        let c = reg.counter("warmup.noise");
+        c.add(1000);
+        let mut ms = MeasureState::open(50, 0, reg.snapshot());
+        c.add(3);
+        // The cadence closes [50, 60); the window then closes at 60 too.
+        ms.close_interval(60, reg.snapshot());
+        ms.close_interval(60, reg.snapshot());
+        assert_eq!(ms.intervals.len(), 1);
+        assert_eq!(ms.closed, 1);
+        // Activity before the window opened is not in the delta.
+        assert_eq!(ms.intervals[0].counter("warmup.noise"), 3);
+        assert_eq!(
+            (ms.intervals[0].start_cycle, ms.intervals[0].end_cycle),
+            (50, 60)
+        );
     }
 }

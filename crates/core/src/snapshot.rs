@@ -19,27 +19,29 @@
 //! offline tools (`ucp-bisect`) can rebuild the exact simulation from the
 //! checkpoint directory alone. Checkpoints are named
 //! `ckpt-<committed>.bin` under a per-run directory keyed by a slug of
-//! (workload, seed, config, run lengths); a keep-last-k policy bounds disk
-//! use.
+//! (workload, seed, config, run lengths, interval and digest cadences); a
+//! keep-last-k policy bounds disk use.
 
+use crate::config::SimConfig;
 use crate::error::SimError;
 use serde::{Deserialize, Serialize};
 use sim_isa::fnv1a64;
 use std::path::{Path, PathBuf};
 use ucp_telemetry::envelope::{quarantine, read_envelope_bytes, write_envelope_bytes};
-use ucp_telemetry::{CacheReadError, FaultPlan};
+use ucp_telemetry::{cadence_from_env, CacheReadError, FaultPlan};
+use ucp_workloads::WorkloadSpec;
 
 /// Checkpoint format version; bumped whenever any component's serialized
 /// layout changes. Doubles as the envelope `model_version`, so stale
 /// checkpoints fail integrity verification instead of mis-restoring.
-pub const CKPT_VERSION: u32 = 3;
+pub const CKPT_VERSION: u32 = 4;
 
 /// Default number of checkpoints retained per run.
 pub const DEFAULT_CKPT_KEEP: usize = 3;
 
 /// Everything needed to identify and resume a checkpoint, stored as the
 /// first (JSON) line of the payload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckpointMeta {
     /// Checkpoint format version ([`CKPT_VERSION`]).
     pub version: u32,
@@ -56,6 +58,12 @@ pub struct CheckpointMeta {
     pub warmup: u64,
     /// Measured length of the interrupted run (instructions).
     pub measure: u64,
+    /// Interval length in cycles (`UCP_INTERVAL`; `None` = off): it
+    /// shapes the measurement window's saved interval series.
+    pub interval: Option<u64>,
+    /// Determinism-auditor cadence in instructions (`UCP_DIGEST`;
+    /// `None` = off): it decides which digests the saved state holds.
+    pub digest_every: Option<u64>,
     /// Instructions committed at capture time (whole run).
     pub committed: u64,
     /// Machine cycle at capture time.
@@ -143,21 +151,7 @@ pub fn ckpt_from_env() -> Result<Option<CheckpointPolicy>, String> {
 /// Malformed values are a hard configuration error, consistent with
 /// `UCP_WATCHDOG` and `UCP_CKPT`.
 pub fn digest_from_env() -> Result<Option<u64>, String> {
-    let Ok(s) = std::env::var("UCP_DIGEST") else {
-        return Ok(None);
-    };
-    let s = s.trim().to_ascii_lowercase();
-    if s.is_empty() || s == "off" {
-        return Ok(None);
-    }
-    match s.parse::<u64>() {
-        Ok(0) => Ok(None),
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(format!(
-            "UCP_DIGEST=`{s}` is not an instruction count; \
-             expected an integer, `0`, or `off`"
-        )),
-    }
+    cadence_from_env("UCP_DIGEST", None, "an instruction count")
 }
 
 /// Root directory for checkpoints: `UCP_CKPT_DIR`, else
@@ -168,12 +162,59 @@ pub fn ckpt_root() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("target").join("ucp-ckpt"))
 }
 
-/// Stable per-run directory slug: a digest of everything that determines
-/// the simulated trajectory. Suite retries perturb the seed, so a retry
-/// never resumes a checkpoint from a different trajectory.
-pub fn run_slug(workload: &str, seed: u64, cfg_json: &str, warmup: u64, measure: u64) -> String {
-    let key = format!("{workload}|{seed:#x}|{cfg_json}|w{warmup}|m{measure}");
-    format!("{workload}-{:016x}", fnv1a64(key.as_bytes()))
+impl CheckpointMeta {
+    /// The identity of a run of `spec` under `cfg` with the given run
+    /// lengths and interval and digest cadences (`None` = off), before
+    /// anything is captured: each checkpoint's meta adds its capture
+    /// point.
+    pub fn for_run(
+        spec: &WorkloadSpec,
+        cfg: &SimConfig,
+        warmup: u64,
+        measure: u64,
+        interval: Option<u64>,
+        digest_every: Option<u64>,
+    ) -> Self {
+        CheckpointMeta {
+            version: CKPT_VERSION,
+            workload: spec.name.clone(),
+            spec_json: serde_json::to_string(spec).expect("workload spec serializes"),
+            cfg_json: serde_json::to_string(cfg).expect("sim config serializes"),
+            seed: spec.seed,
+            warmup,
+            measure,
+            interval,
+            digest_every,
+            committed: 0,
+            cycle: 0,
+            digest: 0,
+        }
+    }
+
+    /// Stable per-run directory slug: a digest of everything that
+    /// determines the simulated trajectory and the state saved along it
+    /// (the whole meta but its capture point, so the interval and digest
+    /// cadences too). Suite retries perturb the seed, so a retry never
+    /// resumes a checkpoint from a different trajectory.
+    pub fn slug(&self) -> String {
+        let id = serde_json::to_string(&self.run_id()).expect("checkpoint meta serializes");
+        format!("{}-{:016x}", self.workload, fnv1a64(id.as_bytes()))
+    }
+
+    /// True when `other` names the same run as `self`: everything but the
+    /// capture point matches.
+    pub fn same_run(&self, other: &CheckpointMeta) -> bool {
+        self.run_id() == other.run_id()
+    }
+
+    fn run_id(&self) -> CheckpointMeta {
+        CheckpointMeta {
+            committed: 0,
+            cycle: 0,
+            digest: 0,
+            ..self.clone()
+        }
+    }
 }
 
 /// Path of the checkpoint taken at `committed` instructions.
@@ -331,6 +372,8 @@ mod tests {
             seed: 7,
             warmup: 0,
             measure: 1000,
+            interval: None,
+            digest_every: None,
             committed,
             cycle: committed * 2,
             digest: fnv1a64(state),
@@ -384,13 +427,28 @@ mod tests {
 
     #[test]
     fn slug_depends_on_every_input() {
-        let a = run_slug("w", 1, "{}", 100, 200);
-        assert_ne!(a, run_slug("w", 2, "{}", 100, 200));
-        assert_ne!(a, run_slug("w", 1, "{\"x\":1}", 100, 200));
-        assert_ne!(a, run_slug("w", 1, "{}", 101, 200));
-        assert_ne!(a, run_slug("w", 1, "{}", 100, 201));
-        assert_eq!(a, run_slug("w", 1, "{}", 100, 200));
-        assert!(a.starts_with("w-"));
+        let base = meta(100, &[1]);
+        let a = base.slug();
+        let variants: [fn(&mut CheckpointMeta); 7] = [
+            |m| m.seed += 1,
+            |m| m.cfg_json = "{\"x\":1}".into(),
+            |m| m.warmup += 1,
+            |m| m.measure += 1,
+            |m| m.interval = Some(50),
+            |m| m.digest_every = Some(50),
+            |m| m.workload = "v".into(),
+        ];
+        for vary in variants {
+            let mut m = base.clone();
+            vary(&mut m);
+            assert_ne!(a, m.slug());
+            assert!(!m.same_run(&base));
+        }
+        // The capture point is not part of the run's identity.
+        let later = meta(200, &[2]);
+        assert_eq!(a, later.slug());
+        assert!(later.same_run(&base));
+        assert!(a.starts_with("t-"));
     }
 
     #[test]

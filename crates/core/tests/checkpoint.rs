@@ -9,9 +9,13 @@
 //! `replay_verify` relies on the structured error.
 
 use std::sync::Arc;
-use ucp_core::snapshot::{ckpt_root, latest_valid_checkpoint, remove_run_checkpoints, run_slug};
-use ucp_core::{replay_verify, CheckpointPolicy, PrefetcherKind, RunOutput, SimConfig, Simulator};
+use ucp_core::snapshot::{ckpt_root, latest_valid_checkpoint, remove_run_checkpoints};
+use ucp_core::{
+    replay_verify, CheckpointMeta, CheckpointPolicy, PrefetcherKind, RunOutput, SimConfig,
+    Simulator,
+};
 use ucp_telemetry::fault::FaultPlan;
+use ucp_telemetry::interval_from_env;
 use ucp_workloads::WorkloadSpec;
 
 const WARMUP: u64 = 5_000;
@@ -22,8 +26,23 @@ fn json<T: serde::Serialize>(v: &T) -> String {
     serde_json::to_string(v).expect("serializes")
 }
 
+/// The checkpoint directory of a run under the given interval and digest
+/// cadences.
+fn cadence_dir(
+    spec: &WorkloadSpec,
+    cfg: &SimConfig,
+    interval: Option<u64>,
+    digest_every: Option<u64>,
+) -> std::path::PathBuf {
+    let run = CheckpointMeta::for_run(spec, cfg, WARMUP, MEASURE, interval, digest_every);
+    ckpt_root().join(run.slug())
+}
+
+/// The checkpoint directory of a run under the environment's interval
+/// length and [`DIGEST_EVERY`].
 fn run_dir(spec: &WorkloadSpec, cfg: &SimConfig) -> std::path::PathBuf {
-    ckpt_root().join(run_slug(&spec.name, spec.seed, &json(cfg), WARMUP, MEASURE))
+    let interval = interval_from_env().expect("valid UCP_INTERVAL");
+    cadence_dir(spec, cfg, interval, Some(DIGEST_EVERY))
 }
 
 fn reference_run(spec: &WorkloadSpec, cfg: &SimConfig) -> RunOutput {
@@ -275,6 +294,58 @@ fn injected_kill_after_first_checkpoint_resumes_bit_identically() {
         "digest stream bit-identical"
     );
     assert!(!dir.exists(), "completed run removed its checkpoints");
+}
+
+#[test]
+fn other_cadences_never_resume_and_run_fresh() {
+    // The interval and digest cadences shape the saved window and digest
+    // stream, so they are part of the run's identity: a run under other
+    // cadences must not resume (and adopt) a checkpoint left by this one.
+    let cfg = SimConfig::baseline();
+    let spec = WorkloadSpec::tiny("ckpt-cadence", 13);
+    let crashed_dir = cadence_dir(&spec, &cfg, Some(2_000), Some(DIGEST_EVERY));
+    let fresh_dir = cadence_dir(&spec, &cfg, Some(5_000), None);
+    remove_run_checkpoints(&crashed_dir);
+    remove_run_checkpoints(&fresh_dir);
+    let policy = CheckpointPolicy {
+        every: 6_000,
+        keep: 2,
+    };
+    let prog = spec.build();
+    let machine = |interval, digest_every| {
+        let mut sim = Simulator::new(&prog, spec.seed, &cfg);
+        sim.set_interval(interval);
+        sim.set_digest_interval(digest_every);
+        sim
+    };
+
+    let mut crashed = machine(Some(2_000), Some(DIGEST_EVERY));
+    let resumed = crashed.arm_checkpointing(&spec, WARMUP, MEASURE, policy, None);
+    assert!(
+        resumed.is_none(),
+        "directory was cleaned; nothing to resume"
+    );
+    crashed.run_full(WARMUP, MEASURE).expect("interrupted run");
+    // Crash: no finish_checkpointing — the checkpoints survive.
+    assert!(latest_valid_checkpoint(&crashed_dir).is_some());
+
+    let reference = machine(Some(5_000), None)
+        .run_full(WARMUP, MEASURE)
+        .expect("reference run");
+    let mut sim = machine(Some(5_000), None);
+    let resumed = sim.arm_checkpointing(&spec, WARMUP, MEASURE, policy, None);
+    assert_eq!(resumed, None, "other cadences resumed a checkpoint");
+    let out = sim.run_full(WARMUP, MEASURE).expect("fresh run");
+    sim.finish_checkpointing();
+    assert_eq!(json(&out.stats), json(&reference.stats), "stats");
+    assert_eq!(
+        json(&out.intervals),
+        json(&reference.intervals),
+        "intervals"
+    );
+    assert_eq!(out.digests, reference.digests, "digests");
+    assert!(out.digests.is_empty(), "no digests without a cadence");
+    remove_run_checkpoints(&crashed_dir);
 }
 
 #[test]

@@ -36,10 +36,10 @@
 //! - **Cycle accounting** ([`accounting`]) charges every simulated
 //!   frontend cycle to exactly one [`CycleCause`], with the invariant
 //!   that categories sum to total cycles.
-//! - **Interval sampling** ([`interval`]) snapshots registry deltas
-//!   every N cycles into a bounded ring of [`IntervalRecord`]s, giving
+//! - **Interval records** ([`interval`]) hold the registry deltas of
+//!   each N-cycle interval of the measurement window, giving
 //!   phase-resolved time series (IPC, hit rates, stall shares) that are
-//!   exportable as CSV/JSONL and as Perfetto counter tracks.
+//!   exportable as CSV and as Perfetto counter tracks.
 //!
 //! # Environment variables
 //!
@@ -50,8 +50,6 @@
 //! - `UCP_INTERVAL` — cycles per interval sample (default 100000; `0` or
 //!   `off` disables interval sampling). Anything else that fails to parse
 //!   as an integer is a hard configuration error.
-//! - `UCP_INTERVAL_BUF` — interval ring capacity in records (default
-//!   4096); non-numeric values are a hard configuration error.
 //! - `UCP_FAULT` — deterministic fault injection, `site:nth[:times]`
 //!   (see [`fault`]). Unset disables every fault site.
 //!
@@ -82,9 +80,7 @@ pub use accounting::{AccountingBreakdown, CycleAccounting, CycleCause, TOTAL_CYC
 pub use envelope::CacheReadError;
 pub use export::{snapshot_table, to_chrome_trace, to_chrome_trace_with_counters, to_jsonl};
 pub use fault::FaultPlan;
-pub use interval::{
-    intervals_to_csv, intervals_to_jsonl, IntervalRecord, IntervalSampler, SamplerState,
-};
+pub use interval::{interval_from_env, intervals_to_csv, IntervalRecord};
 pub use registry::{Counter, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
 pub use tracer::{Category, CategorySet, TraceEvent, Tracer};
 
@@ -127,6 +123,36 @@ impl Telemetry {
             registry: Registry::default(),
             tracer: Tracer::enabled_for(CategorySet::parse(categories), capacity),
         }
+    }
+}
+
+/// Reads a cadence knob such as `UCP_INTERVAL`: an integer count of
+/// `unit`s, or `0`/`off` for `Ok(None)` (disabled); unset or empty gives
+/// `default`.
+///
+/// # Errors
+///
+/// Anything else is a hard configuration error — a typo must not
+/// silently fall back to the default and invalidate hours of cached
+/// results.
+pub fn cadence_from_env(
+    var: &str,
+    default: Option<u64>,
+    unit: &str,
+) -> Result<Option<u64>, String> {
+    let s = std::env::var(var)
+        .unwrap_or_default()
+        .trim()
+        .to_ascii_lowercase();
+    match s.as_str() {
+        "" => Ok(default),
+        "off" => Ok(None),
+        _ => match s.parse::<u64>() {
+            Ok(n) => Ok((n > 0).then_some(n)),
+            Err(_) => Err(format!(
+                "{var}=`{s}` is not {unit}; expected an integer, `0`, or `off`"
+            )),
+        },
     }
 }
 

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 use ucp_sim::core::{ConfKind, PrefetcherKind, RunOutput, SimConfig, Simulator};
-use ucp_sim::telemetry::{IntervalRecord, IntervalSampler, RegistrySnapshot, Telemetry};
+use ucp_sim::telemetry::{IntervalRecord, RegistrySnapshot, Telemetry};
 use ucp_sim::workloads::WorkloadSpec;
 
 const WARMUP: u64 = 4_000;
@@ -118,11 +118,11 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
 }
 
 /// One run with every environment-driven knob pinned: no tracing, a fixed
-/// interval sampler, no digests, no checkpoints.
+/// interval length, no digests, no checkpoints.
 fn run(spec: &WorkloadSpec, cfg: &SimConfig) -> RunOutput {
     let prog = spec.build();
     let mut sim = Simulator::with_telemetry(&prog, spec.seed, cfg, Telemetry::disabled());
-    sim.set_interval_sampling(Some(IntervalSampler::new(INTERVAL_CYCLES, 1024)));
+    sim.set_interval(Some(INTERVAL_CYCLES));
     sim.set_digest_interval(None);
     sim.run_full(WARMUP, MEASURE).expect("golden run completes")
 }

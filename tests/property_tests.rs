@@ -8,7 +8,7 @@ use ucp_sim::bpred::{FoldSpec, HistoryState};
 use ucp_sim::core::{SimConfig, Simulator};
 use ucp_sim::frontend::{EntryEnd, UopCache, UopCacheConfig, UopEntrySpec};
 use ucp_sim::isa::Addr;
-use ucp_sim::telemetry::{AccountingBreakdown, IntervalSampler, Telemetry};
+use ucp_sim::telemetry::{AccountingBreakdown, Telemetry};
 use ucp_sim::workloads::{CondMix, Oracle, WorkloadSpec};
 
 /// An arbitrary-but-small workload recipe.
@@ -91,7 +91,7 @@ proptest! {
         let prog = spec.build();
         let mut sim = Simulator::with_telemetry(&prog, spec.seed, &cfg, Telemetry::disabled());
         // Short intervals so small runs still produce several records.
-        sim.set_interval_sampling(Some(IntervalSampler::new(2_000, 1 << 16)));
+        sim.set_interval(Some(2_000));
         let out = sim.run_full(2_000, 10_000).expect("run completes");
 
         let breakdown = AccountingBreakdown::from_snapshot(&out.telemetry);
