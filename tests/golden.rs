@@ -101,8 +101,11 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
     tage_conf.ucp.conf = ConfKind::Tage;
     let mut till_l1i = SimConfig::ucp();
     till_l1i.ucp.till_l1i = true;
-    let mut fnl_mma = SimConfig::baseline();
-    fnl_mma.prefetcher = PrefetcherKind::FnlMma;
+    let prefetching = |kind| {
+        let mut c = SimConfig::baseline();
+        c.prefetcher = kind;
+        c
+    };
     let mut mrc = SimConfig::baseline();
     mrc.mrc_entries = Some(256);
     vec![
@@ -112,7 +115,11 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
         ("tage_conf", tage_conf),
         ("no_ind", SimConfig::ucp_no_ind()),
         ("till_l1i", till_l1i),
-        ("fnl_mma", fnl_mma),
+        ("fnl_mma", prefetching(PrefetcherKind::FnlMma)),
+        ("fnl_mma_pp", prefetching(PrefetcherKind::FnlMmaPlusPlus)),
+        ("djolt", prefetching(PrefetcherKind::DJolt)),
+        ("ep", prefetching(PrefetcherKind::Ep)),
+        ("ep_pp", prefetching(PrefetcherKind::EpPlusPlus)),
         ("mrc", mrc),
     ]
 }
