@@ -96,8 +96,9 @@ impl Profile {
 /// branch records became a ring, so cached `RunResult::digests` change;
 /// v6: the measurement window carries the interval series in the
 /// serialized state, so cached digests change, and the key gained the
-/// digest cadence.)
-pub const MODEL_VERSION: u32 = 6;
+/// digest cadence; v7: only correct-path branches carry records and the
+/// UCP mirrors follow the correct path only, so cached digests change.)
+pub const MODEL_VERSION: u32 = 7;
 
 fn cache_dir() -> PathBuf {
     std::env::var("UCP_RESULT_DIR")

@@ -197,6 +197,24 @@ impl HistoryState {
         cp
     }
 
+    /// Overwrites this history with `other`'s bits, write pointer and
+    /// folded registers, in place: no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two histories have different fold geometry.
+    pub fn copy_from(&mut self, other: &HistoryState) {
+        assert_eq!(
+            self.folds.len(),
+            other.folds.len(),
+            "history fold-count mismatch"
+        );
+        self.bits.copy_from_slice(&other.bits);
+        self.ptr = other.ptr;
+        self.folds.copy_from_slice(&other.folds);
+        self.max_olen = other.max_olen;
+    }
+
     /// Restores a checkpoint taken earlier on this history.
     ///
     /// # Panics
@@ -321,6 +339,27 @@ mod tests {
         }
         for i in 0..a.num_folds() {
             assert_eq!(a.folded(i), b.folded(i), "fold {i} diverged after restore");
+        }
+    }
+
+    #[test]
+    fn copy_from_matches_a_clone() {
+        let mut src = HistoryState::new(&specs());
+        for i in 0..500 {
+            src.push(i % 5 < 2);
+        }
+        let mut dst = HistoryState::new(&specs());
+        dst.push(true);
+        dst.copy_from(&src);
+        let mut twin = src.clone();
+        for i in 0..200 {
+            dst.push(i % 3 == 0);
+            twin.push(i % 3 == 0);
+        }
+        assert_eq!(dst.position(), twin.position());
+        assert_eq!(dst.recent(64), twin.recent(64));
+        for i in 0..dst.num_folds() {
+            assert_eq!(dst.folded(i), twin.folded(i), "fold {i}");
         }
     }
 

@@ -19,8 +19,6 @@ pub struct RobEntry {
     pub pos: u64,
     /// Cycle at which execution completes.
     pub complete: u64,
-    /// Prediction record to resolve at completion, if this is a branch.
-    pub rec: Option<u64>,
 }
 
 /// The backend.
@@ -59,14 +57,7 @@ impl Backend {
     /// # Panics
     ///
     /// Panics if the ROB is full (callers check [`Backend::has_space`]).
-    pub fn dispatch(
-        &mut self,
-        now: u64,
-        d: &DynInst,
-        pos: u64,
-        mem_ready: Option<u64>,
-        rec: Option<u64>,
-    ) -> u64 {
+    pub fn dispatch(&mut self, now: u64, d: &DynInst, pos: u64, mem_ready: Option<u64>) -> u64 {
         assert!(self.has_space(), "dispatch into a full ROB");
         // Operand readiness.
         let mut ready = now + 1;
@@ -97,21 +88,25 @@ impl Backend {
         if let Some(dst) = d.inst.dst {
             self.reg_avail[dst.index()] = complete;
         }
-        self.rob.push_back(RobEntry { pos, complete, rec });
+        self.rob.push_back(RobEntry { pos, complete });
         complete
     }
 
-    /// Retires completed head entries, up to the commit width. Returns the
-    /// retired entries in order.
-    pub fn commit(&mut self, now: u64) -> Vec<RobEntry> {
-        let mut out = Vec::new();
-        for _ in 0..self.cfg.commit_width {
-            match self.rob.front() {
-                Some(e) if e.complete <= now => out.push(self.rob.pop_front().expect("front")),
-                _ => break,
-            }
+    /// Correct-path position of the oldest in-flight µ-op, the next one
+    /// to retire.
+    pub fn head_pos(&self) -> Option<u64> {
+        self.rob.front().map(|e| e.pos)
+    }
+
+    /// Retires completed head entries in order, up to the commit width.
+    /// Returns how many retired.
+    pub fn commit(&mut self, now: u64) -> u32 {
+        let mut n = 0;
+        while n < self.cfg.commit_width && self.rob.front().is_some_and(|e| e.complete <= now) {
+            self.rob.pop_front();
+            n += 1;
         }
-        out
+        n
     }
 
     /// Checkpoint layout: the ROB, then the register scoreboard.
@@ -129,7 +124,6 @@ impl sim_isa::Field for RobEntry {
     fn sync_state(&mut self, io: &mut sim_isa::StateIo) {
         io.v(&mut self.pos);
         io.v(&mut self.complete);
-        io.v(&mut self.rec);
     }
 }
 
@@ -165,7 +159,6 @@ mod tests {
             &dyn_inst(InstKind::Op(ExecClass::Alu), Some(Reg::new(1)), &[]),
             0,
             None,
-            None,
         );
         assert_eq!(c, 12, "now+1 issue, +1 ALU");
     }
@@ -178,7 +171,6 @@ mod tests {
             &dyn_inst(InstKind::Op(ExecClass::Div), Some(Reg::new(1)), &[]),
             0,
             None,
-            None,
         );
         let c2 = b.dispatch(
             0,
@@ -188,7 +180,6 @@ mod tests {
                 &[Reg::new(1)],
             ),
             1,
-            None,
             None,
         );
         assert_eq!(c2, c1 + 1, "consumer waits for the divide");
@@ -202,7 +193,6 @@ mod tests {
             &dyn_inst(InstKind::Load, Some(Reg::new(3)), &[]),
             0,
             Some(200),
-            None,
         );
         assert_eq!(c, 200);
     }
@@ -219,14 +209,13 @@ mod tests {
                 &dyn_inst(InstKind::Op(ExecClass::Alu), None, &[]),
                 i,
                 None,
-                None,
             );
         }
-        let retired = b.commit(100);
-        assert_eq!(retired.len(), 2, "commit width");
-        assert_eq!(retired[0].pos, 0);
-        assert_eq!(retired[1].pos, 1);
-        assert_eq!(b.commit(100).len(), 2);
+        assert_eq!(b.head_pos(), Some(0));
+        assert_eq!(b.commit(100), 2, "commit width");
+        assert_eq!(b.head_pos(), Some(2), "the two oldest retired");
+        assert_eq!(b.commit(100), 2);
+        assert_eq!(b.head_pos(), None);
     }
 
     #[test]
@@ -237,17 +226,15 @@ mod tests {
             &dyn_inst(InstKind::Op(ExecClass::Div), None, &[]),
             0,
             None,
-            None,
         );
         b.dispatch(
             0,
             &dyn_inst(InstKind::Op(ExecClass::Alu), None, &[]),
             1,
             None,
-            None,
         );
         // At cycle 3 the ALU op is done but the div head is not.
-        assert!(b.commit(3).is_empty());
+        assert_eq!(b.commit(3), 0);
     }
 
     #[test]
@@ -262,31 +249,14 @@ mod tests {
             &dyn_inst(InstKind::Op(ExecClass::Alu), None, &[]),
             0,
             None,
-            None,
         );
         b.dispatch(
             0,
             &dyn_inst(InstKind::Op(ExecClass::Alu), None, &[]),
             1,
             None,
-            None,
         );
         assert!(!b.has_space());
         assert_eq!(b.occupancy(), 2);
-    }
-
-    #[test]
-    fn branch_records_flow_through() {
-        let mut b = backend();
-        let target = Addr::new(0x200);
-        b.dispatch(
-            0,
-            &dyn_inst(InstKind::CondBranch { target }, None, &[]),
-            0,
-            None,
-            Some(99),
-        );
-        let retired = b.commit(100);
-        assert_eq!(retired[0].rec, Some(99));
     }
 }

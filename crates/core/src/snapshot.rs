@@ -34,7 +34,7 @@ use ucp_workloads::WorkloadSpec;
 /// Checkpoint format version; bumped whenever any component's serialized
 /// layout changes. Doubles as the envelope `model_version`, so stale
 /// checkpoints fail integrity verification instead of mis-restoring.
-pub const CKPT_VERSION: u32 = 4;
+pub const CKPT_VERSION: u32 = 5;
 
 /// Default number of checkpoints retained per run.
 pub const DEFAULT_CKPT_KEEP: usize = 3;

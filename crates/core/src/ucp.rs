@@ -43,12 +43,11 @@ struct PendingPf {
     ready: u64,
 }
 
-/// The active alternate-path walk.
-#[derive(Debug)]
+/// The active alternate-path walk. Its histories live in the engine
+/// ([`UcpEngine::walk_hist`], [`UcpEngine::walk_path_hist`]).
+#[derive(Clone, Copy, Debug, Default)]
 struct AltWalk {
     pc: Addr,
-    hist: HistoryState,
-    path_hist: HistoryState,
     weight: u32,
     threshold: u32,
     insts_since_branch: u32,
@@ -129,12 +128,17 @@ pub struct UcpEngine {
     cfg: UcpConfig,
     alt_bp: TageScL,
     /// Predicted-path GHR mirror for Alt-BP (§IV-C: "Alt-BP implements two
-    /// GHRs"; the second is cloned per walk).
+    /// GHRs"; the second is [`UcpEngine::walk_hist`]).
     alt_bp_mirror: HistoryState,
     alt_ind: Option<Ittage>,
     alt_ind_mirror: HistoryState,
     alt_ras: Ras,
     walk: Option<AltWalk>,
+    /// The walk's Alt-BP GHR: preallocated, overwritten from the mirror
+    /// when a walk starts.
+    walk_hist: HistoryState,
+    /// The walk's Alt-Ind path history, likewise.
+    walk_path_hist: HistoryState,
     alt_ftq: BoundedQueue<AltBlock>,
     l1i_pq: BoundedQueue<AltBlock>,
     pending: Vec<PendingPf>,
@@ -160,6 +164,8 @@ impl UcpEngine {
             None => Ittage::new(IttageParams::alt_4k()).new_history(),
         };
         UcpEngine {
+            walk_hist: alt_bp_mirror.clone(),
+            walk_path_hist: alt_ind_mirror.clone(),
             alt_bp_mirror,
             alt_bp,
             alt_ind,
@@ -296,22 +302,17 @@ impl UcpEngine {
             self.recent_triggers.pop_front();
         }
         self.recent_triggers.push_back(self.trigger_seq);
-        // Alternate GHR: copy the pre-H2P predicted-path history... the
-        // mirror already holds the history *including* the H2P branch's
-        // predicted outcome (pushed by on_cond_predicted). Clone it and
-        // flip the last outcome by re-pushing the opposite on a fresh copy:
-        // we instead clone the mirror and push the *opposite* outcome on
-        // top of the pre-branch state, which the caller guarantees by
-        // triggering before mirroring the predicted outcome.
-        let mut hist = self.alt_bp_mirror.clone();
-        hist.push(!h2p_predicted_taken);
-        let mut path_hist = self.alt_ind_mirror.clone();
-        push_target_history(&mut path_hist, alt_target);
+        // The caller triggers before mirroring the H2P branch's predicted
+        // outcome, so the mirrors hold the history just before the branch.
+        // The walk's histories start from them, extended with the
+        // alternate outcome and target.
+        self.walk_hist.copy_from(&self.alt_bp_mirror);
+        self.walk_hist.push(!h2p_predicted_taken);
+        self.walk_path_hist.copy_from(&self.alt_ind_mirror);
+        push_target_history(&mut self.walk_path_hist, alt_target);
         self.alt_ras.copy_from(main_ras);
         self.walk = Some(AltWalk {
             pc: alt_target,
-            hist,
-            path_hist,
             weight: 0,
             threshold: self.cfg.stop_threshold,
             insts_since_branch: 0,
@@ -432,28 +433,28 @@ impl UcpEngine {
                 walk.insts_since_branch = 0;
                 match entry.class {
                     BranchClass::CondDirect => {
-                        let pred = self.alt_bp.predict(&walk.hist, pc);
+                        let pred = self.alt_bp.predict(&self.walk_hist, pc);
                         let w = cond_stop_weight(&pred);
                         walk.weight = walk.weight.saturating_add(w);
                         if w == 1 {
                             // High-confidence branches extend the allowance.
                             walk.threshold = walk.threshold.saturating_add(1);
                         }
-                        walk.hist.push(pred.taken);
+                        self.walk_hist.push(pred.taken);
                         if pred.taken {
-                            push_target_history(&mut walk.path_hist, entry.target);
+                            push_target_history(&mut self.walk_path_hist, entry.target);
                             next = entry.target;
                             break;
                         }
                     }
                     BranchClass::UncondDirect => {
-                        push_target_history(&mut walk.path_hist, entry.target);
+                        push_target_history(&mut self.walk_path_hist, entry.target);
                         next = entry.target;
                         break;
                     }
                     BranchClass::Call => {
                         self.alt_ras.push(pc.next_inst());
-                        push_target_history(&mut walk.path_hist, entry.target);
+                        push_target_history(&mut self.walk_path_hist, entry.target);
                         next = entry.target;
                         break;
                     }
@@ -461,7 +462,7 @@ impl UcpEngine {
                         walk.weight = walk.weight.saturating_add(1);
                         match self.alt_ras.pop() {
                             Some(ra) => {
-                                push_target_history(&mut walk.path_hist, ra);
+                                push_target_history(&mut self.walk_path_hist, ra);
                                 next = ra;
                             }
                             None => stop = Some(StopReason::BtbMiss),
@@ -472,13 +473,13 @@ impl UcpEngine {
                         match &self.alt_ind {
                             Some(ind) => {
                                 walk.weight = walk.weight.saturating_add(1);
-                                let p = ind.predict(&walk.path_hist, pc);
+                                let p = ind.predict(&self.walk_path_hist, pc);
                                 match p.target.or(Some(entry.target)).filter(|t| !t.is_null()) {
                                     Some(t) => {
                                         if entry.class == BranchClass::IndirectCall {
                                             self.alt_ras.push(pc.next_inst());
                                         }
-                                        push_target_history(&mut walk.path_hist, t);
+                                        push_target_history(&mut self.walk_path_hist, t);
                                         next = t;
                                     }
                                     None => stop = Some(StopReason::Indirect),
@@ -642,7 +643,8 @@ impl UcpEngine {
     }
 
     /// Checkpoint layout: both alternate predictors, the predicted-path
-    /// mirrors, the Alt-RAS, the in-flight walk, and all queues.
+    /// mirrors, the Alt-RAS, the in-flight walk with its histories, and all
+    /// queues.
     /// Telemetry handles are rebound on attach, not checkpointed.
     pub fn sync_state(&mut self, io: &mut StateIo) {
         io.mark(0x7cb0);
@@ -654,31 +656,12 @@ impl UcpEngine {
         });
         self.alt_ind_mirror.sync_state(io);
         self.alt_ras.sync_state(io);
-        let mut walking = self.walk.is_some();
-        io.v(&mut walking);
-        if walking != self.walk.is_some() {
-            // A load found a walk. Its histories carry geometry: start
-            // from the same-geometry mirrors, then overwrite them.
-            self.walk = walking.then(|| AltWalk {
-                pc: Addr::NULL,
-                hist: self.alt_bp_mirror.clone(),
-                path_hist: self.alt_ind_mirror.clone(),
-                weight: 0,
-                threshold: 0,
-                insts_since_branch: 0,
-                trigger: 0,
-                conflict_ctr: 0,
-            });
-        }
-        if let Some(walk) = &mut self.walk {
-            io.v(&mut walk.pc);
-            walk.hist.sync_state(io);
-            walk.path_hist.sync_state(io);
-            io.v(&mut walk.weight);
-            io.v(&mut walk.threshold);
-            io.v(&mut walk.insts_since_branch);
-            io.v(&mut walk.trigger);
-            io.v(&mut walk.conflict_ctr);
+        io.v(&mut self.walk);
+        // The walk histories are dead between walks: a trigger overwrites
+        // them whole.
+        if self.walk.is_some() {
+            self.walk_hist.sync_state(io);
+            self.walk_path_hist.sync_state(io);
         }
         self.alt_ftq.sync_state(io, "alt queue geometry");
         self.l1i_pq.sync_state(io, "alt queue geometry");
@@ -688,6 +671,17 @@ impl UcpEngine {
         io.v(&mut self.trigger_seq);
         io.v(&mut self.recent_triggers);
         io.mark(0x7cb1);
+    }
+}
+
+impl Field for AltWalk {
+    fn sync_state(&mut self, io: &mut StateIo) {
+        io.v(&mut self.pc);
+        io.v(&mut self.weight);
+        io.v(&mut self.threshold);
+        io.v(&mut self.insts_since_branch);
+        io.v(&mut self.trigger);
+        io.v(&mut self.conflict_ctr);
     }
 }
 

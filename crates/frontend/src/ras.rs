@@ -96,22 +96,19 @@ impl Ras {
 
     /// Replaces this RAS's contents with the top of `other` (the paper's
     /// "main RAS is copied into the Alt-RAS when alternate path UCP
-    /// starts"). Keeps at most `self.capacity()` youngest entries.
+    /// starts"). Keeps at most `self.capacity()` youngest entries, copied
+    /// in place, oldest first.
     pub fn copy_from(&mut self, other: &Ras) {
         let take = other.depth().min(self.capacity());
-        // Walk the youngest `take` entries of `other`, oldest-first.
-        let mut addrs = Vec::with_capacity(take);
-        let mut idx = other.sp;
-        for _ in 0..take {
-            idx = (idx + other.entries.len() - 1) % other.entries.len();
-            addrs.push(other.entries[idx]);
+        let len = other.entries.len();
+        // The oldest of the youngest `take` entries sits `take` below the
+        // top of `other`.
+        let first = other.sp + len - take;
+        for (k, slot) in self.entries[..take].iter_mut().enumerate() {
+            *slot = other.entries[(first + k) % len];
         }
-        addrs.reverse();
-        self.sp = 0;
-        self.depth = 0;
-        for a in addrs {
-            self.push(a);
-        }
+        self.sp = take % self.capacity();
+        self.depth = take;
     }
 
     /// Storage in bits (32-bit compressed return addresses).

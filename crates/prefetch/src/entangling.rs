@@ -52,11 +52,20 @@ impl Entangling {
     /// EP++ (`true`, the wrong-path-aware TC'24 version).
     pub fn new(plus_plus: bool) -> Self {
         let log_entries = if plus_plus { 12 } else { 11 };
+        let max_dests = if plus_plus { 4 } else { 2 };
+        // Every entry owns its destination storage from the start, so
+        // training never allocates.
+        let table = (0..1 << log_entries)
+            .map(|_| EntEntry {
+                dests: Vec::with_capacity(max_dests),
+                ..EntEntry::default()
+            })
+            .collect();
         Entangling {
             plus_plus,
             log_entries,
-            max_dests: if plus_plus { 4 } else { 2 },
-            table: vec![EntEntry::default(); 1 << log_entries],
+            max_dests,
+            table,
             recent: VecDeque::with_capacity(ENTANGLE_DIST + 4),
             speculative_training: Vec::new(),
             ticks: 0,
@@ -79,11 +88,10 @@ impl Entangling {
         let max_dests = self.max_dests;
         let e = &mut self.table[i];
         if !e.valid || e.tag != t {
-            *e = EntEntry {
-                tag: t,
-                dests: Vec::with_capacity(max_dests),
-                valid: true,
-            };
+            // Replace the entry, reusing its destination storage.
+            e.tag = t;
+            e.valid = true;
+            e.dests.clear();
         }
         if e.dests.contains(&dst) {
             return;
